@@ -171,7 +171,7 @@ def summarize(spec, args):
         for name, values in samples.items():
             med, q1, q3, spr = spread(values)
             bound = bounds[name]["bound"]
-            steady = name == "setup_s" or spr < bound / 3
+            steady = spr < bound / 3
             ok &= steady and failures == 0
             flag = "" if steady else "  UNSTEADY"
             print(f"  {name:22s} {bounds[name]['unit']:6s} {med:14.6g} {q1:14.6g} {q3:14.6g} "
@@ -181,6 +181,9 @@ def summarize(spec, args):
         record["end_to_end"][w] = rows
         if args.traced:
             res = run_once(spec, w, args.seed0, args.seconds, True, echo=False)
+            if not res["correct"]:
+                ok = False
+                print(f"  traced run of seed {args.seed0}: incorrect")
             record["per_layer"][w] = {n: m["value"] for n, m in res["metrics"].items()}
     if args.record:
         with open(args.record, "w") as f:

@@ -114,24 +114,12 @@ struct study_digest {
     opwat::serve::exec::stats* st = nullptr,
     opwat::serve::exec::mode mode = opwat::serve::exec::mode::vectorized);
 
-/// The benchmark's request stream: k_populations default-mix
-/// portal::workload streams, each seeded from the workload seed and so
-/// each with its own hot IXPs, interleaved round-robin.  A single stream's
-/// choice of hot IXP would set a whole run's cost; the union averages it.
-/// Arrival gaps follow the first population's open-loop schedule.
-class traffic {
- public:
-  static constexpr std::size_t k_populations = 16;
-  traffic(const opwat::serve::catalog& cat, std::uint64_t seed,
-          const opwat::portal::workload_config& base = {});
-  /// Request i (its wire id is uint32(i)).
-  [[nodiscard]] opwat::portal::request nth(std::uint64_t i) const;
-  /// Open-loop gap before request i, in seconds.
-  [[nodiscard]] double gap_s(std::uint64_t i) const;
-
- private:
-  std::vector<opwat::portal::workload> pops_;
-};
+/// The benchmark's request stream: the default-mix portal::workload
+/// stream over `cat`'s shape, seeded from the workload seed (request i has
+/// wire id uint32(i)).
+[[nodiscard]] opwat::portal::workload traffic(const opwat::serve::catalog& cat,
+                                              std::uint64_t seed,
+                                              opwat::portal::workload_config cfg = {});
 
 /// Response bytes with the id and cache flag cleared: two answers to one
 /// query compare equal exactly when these bytes do (NaN-safe).
@@ -154,12 +142,19 @@ struct fixture {
   std::size_t rows = 0;  ///< rows over all epochs of `full`
 };
 
+/// Times a set-up is repeated in a run; setup_s takes their median.
+inline constexpr std::size_t k_setups = 3;
+
 /// Builds k_epochs paper-scale studies (scenario::build → run_inference
 /// → ingest) from config_of(e), saves the catalog and checks it reloads
-/// byte-stably.
-void build_fixture(fixture& fx, const options& opt,
-                   const std::function<opwat::eval::scenario_config(std::size_t)>& config_of,
-                   tracer& tr, report& rep);
+/// byte-stably.  Does so k_setups times, each from scratch, checks that
+/// every build gives the first one's studies and store bytes, and keeps
+/// the last (its study_s holds every build's studies).  Returns the
+/// median build time in seconds.
+[[nodiscard]] double build_fixture(
+    fixture& fx, const options& opt,
+    const std::function<opwat::eval::scenario_config(std::size_t)>& config_of, tracer& tr,
+    report& rep);
 
 /// The opwatd SIGHUP path: rewrites `base` to `path` (untimed), then
 /// times `next.append_epoch(path)` + strict shared_catalog::load(path)
@@ -220,7 +215,8 @@ void emit_e2e(report& rep, const e2e_values& v);
 using layer_values = std::map<std::string, double>;
 void emit_layers(report& rep, const layer_values& v);
 
-/// Sets host.nproc and host.steal_pct (steal share between a and b).
+/// Sets host.steal_pct (steal share between a and b) and prints it with
+/// the host's nproc, a host fact rather than a metric.
 void add_host_layers(layer_values& lv, const host_sample& a, const host_sample& b);
 
 /// Median and p99 of latency samples (ns), in microseconds, with the

@@ -264,22 +264,11 @@ portal::response answer(const portal::request& in, const serve::catalog& snap,
   return resp;
 }
 
-traffic::traffic(const serve::catalog& cat, std::uint64_t seed,
-                 const portal::workload_config& base) {
-  for (std::size_t k = 0; k < k_populations; ++k) {
-    auto cfg = base;
-    cfg.seed = util::hash_combine(derive_seed(seed, "traffic"), k);
-    pops_.emplace_back(cat, cfg);
-  }
+portal::workload traffic(const serve::catalog& cat, std::uint64_t seed,
+                         portal::workload_config cfg) {
+  cfg.seed = derive_seed(seed, "traffic");
+  return portal::workload{cat, cfg};
 }
-
-portal::request traffic::nth(std::uint64_t i) const {
-  auto req = pops_[i % pops_.size()].nth(i / pops_.size());
-  req.id = static_cast<std::uint32_t>(i);
-  return req;
-}
-
-double traffic::gap_s(std::uint64_t i) const { return pops_.front().gap_s(i); }
 
 std::string canonical_bytes(const portal::response& r) {
   portal::response c = r;
@@ -290,9 +279,11 @@ std::string canonical_bytes(const portal::response& r) {
 
 // --- set-up ----------------------------------------------------------------------
 
-void build_fixture(fixture& fx, const options& opt,
-                   const std::function<eval::scenario_config(std::size_t)>& config_of,
-                   tracer& tr, report& rep) {
+namespace {
+
+void build_fixture_once(fixture& fx, const options& opt,
+                        const std::function<eval::scenario_config(std::size_t)>& config_of,
+                        tracer& tr, report& rep) {
   fx.store_path = opt.out_dir + "/served.opwatc";
   for (std::size_t e = 0; e < k_epochs; ++e) {
     const auto t0 = now_ns();
@@ -332,6 +323,31 @@ void build_fixture(fixture& fx, const options& opt,
             "the served catalog does not round-trip through the store byte for byte");
   for (std::size_t e = 0; e < fx.full.epoch_count(); ++e)
     fx.rows += fx.full.at(static_cast<serve::epoch_id>(e)).rows();
+}
+
+}  // namespace
+
+double build_fixture(fixture& fx, const options& opt,
+                     const std::function<eval::scenario_config(std::size_t)>& config_of,
+                     tracer& tr, report& rep) {
+  std::vector<double> build_s, study_s;
+  std::string first_bytes;
+  for (std::size_t k = 0; k < k_setups; ++k) {
+    const auto t0 = now_ns();
+    fixture f;
+    build_fixture_once(f, opt, config_of, tr, rep);
+    build_s.push_back(since_s(t0));
+    if (k == 0) {
+      first_bytes = read_file(f.store_path);
+    } else {
+      rep.check(f.digests == fx.digests && read_file(f.store_path) == first_bytes,
+                "set-up " + std::to_string(k) + " built other studies than set-up 0");
+    }
+    study_s.insert(study_s.end(), f.study_s.begin(), f.study_s.end());
+    fx = std::move(f);
+  }
+  fx.study_s = std::move(study_s);
+  return median(build_s);
 }
 
 double publish_once(const serve::catalog& base, const serve::catalog& next,
@@ -399,8 +415,9 @@ double steal_pct(const host_sample& a, const host_sample& b) {
 }
 
 void add_host_layers(layer_values& lv, const host_sample& a, const host_sample& b) {
-  lv["host.nproc"] = static_cast<double>(std::thread::hardware_concurrency());
   lv["host.steal_pct"] = steal_pct(a, b);
+  std::cout << "host: nproc " << std::thread::hardware_concurrency() << ", steal "
+            << lv["host.steal_pct"] << " % over the measured phase\n";
 }
 
 void write_spans(const options& opt, const std::vector<const tracer*>& tracers) {
@@ -504,7 +521,6 @@ constexpr layer_metric k_layer_metrics[] = {
     {"gen.late_p99_us", "us"},
     {"trace.overhead_frac", "ratio"},
     {"trace.unattributed_ms", "ms"},
-    {"host.nproc", "count"},
     {"host.steal_pct", "%"},
 };
 

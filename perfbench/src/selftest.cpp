@@ -1,7 +1,7 @@
 // Unit tests of the benchmark's own helpers (order statistics, the
-// supported tail percentile, offered rate, metric names, span self
-// time).  Exits non-zero on the first failure.  Run it through
-// `python3 perfbench/run.py --selftest`.
+// supported tail percentile, the fixed-size reservoir, offered rate,
+// metric names, span self time).  Exits non-zero on the first failure.
+// Run it through `python3 perfbench/run.py --selftest`.
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -55,6 +55,29 @@ void test_windows() {
   expect(ws.p50.size() == 3 && ws.p50[0] == 49.5 && ws.p50[1] == 1099.5, "per-window medians");
   expect(ws.p99.size() == 3 && near(ws.p99[2], 2000 + 0.99 * 299, 1e-9), "per-window p99");
   expect(perfbench::median(ws.count) == 200, "median window count");
+}
+
+void test_reservoir() {
+  // Below its capacity a reservoir keeps every value, in order.
+  perfbench::reservoir small{8};
+  for (int i = 0; i < 5; ++i) small.add(i);
+  expect(small.kept() == std::vector<double>{0, 1, 2, 3, 4}, "under capacity keeps all");
+  expect(small.seen() == 5 && small.sum() == 10, "seen and sum");
+  // Past it, the storage never grows and the sample stays uniform: the
+  // median of 0..99999 sampled 4096 at a time lands near 50000.
+  perfbench::reservoir r{4096};
+  const auto* storage = r.kept().data();
+  for (int i = 0; i < 100000; ++i) r.add(i);
+  expect(r.kept().size() == 4096 && r.kept().data() == storage, "fixed storage past capacity");
+  expect(r.seen() == 100000, "seen counts every value");
+  expect(near(perfbench::median(r.kept()), 50000, 3000), "uniform sample median");
+  // Deterministic, and clear() keeps the storage.
+  perfbench::reservoir again{4096};
+  for (int i = 0; i < 100000; ++i) again.add(i);
+  expect(again.kept() == r.kept(), "same stream, same sample");
+  r.clear();
+  expect(r.kept().empty() && r.seen() == 0 && r.sum() == 0 && r.kept().capacity() == 4096,
+         "clear keeps the storage");
 }
 
 void test_supported_percentile() {
@@ -146,6 +169,7 @@ int main() {
   test_quantiles();
   test_supported_percentile();
   test_windows();
+  test_reservoir();
   test_offered_rate();
   test_metric_names();
   test_self_time();

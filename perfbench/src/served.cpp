@@ -121,7 +121,7 @@ struct phase {
 
 class load_gen {
  public:
-  load_gen(std::uint16_t port, const traffic& wl) : wl_(wl) {
+  load_gen(std::uint16_t port, const portal::workload& wl) : wl_(wl) {
     for (std::size_t c = 0; c < k_connections; ++c)
       conns_.push_back(std::make_unique<portal::client>("127.0.0.1", port));
     inflight_.assign(k_connections, 0);
@@ -229,7 +229,7 @@ class load_gen {
     }
   }
 
-  const traffic& wl_;
+  const portal::workload& wl_;
   std::vector<std::unique_ptr<portal::client>> conns_;
   std::vector<std::size_t> inflight_;
 };
@@ -241,7 +241,7 @@ struct replay_out {
   double exec_ns = 0;  ///< summed in-process snapshot + execution time
 };
 
-replay_out replay_sample(const phase& ph, const traffic& wl, const serve::shared_catalog& shared) {
+replay_out replay_sample(const phase& ph, const portal::workload& wl, const serve::shared_catalog& shared) {
   replay_out out;
   for (const auto& smp : ph.sample) {
     const auto req = wl.nth(smp.index);
@@ -272,7 +272,7 @@ void measure_served(serve::shared_catalog& shared, const fixture& fx, std::uint6
   portal::workload_config wcfg;
   wcfg.target_qps = k_target_qps;
   wcfg.burstiness = k_burstiness;
-  const traffic wl{*snap_before, seed, wcfg};
+  const auto wl = traffic(*snap_before, seed, wcfg);
   load_gen gen{port, wl};
   (void)gen.closed_loop(0, k_warmup_s);  // fills the result cache
 
@@ -331,6 +331,13 @@ void measure_served(serve::shared_catalog& shared, const fixture& fx, std::uint6
     rep.check(ph->duplicates == 0 && ph->strays == 0,
               "responses answered twice or with unknown ids (" + std::to_string(ph->duplicates) +
                   " duplicates, " + std::to_string(ph->strays) + " strays)");
+    rep.check(ph->unanswered() == 0,
+              std::to_string(ph->unanswered()) + " requests were never answered");
+    // An error response to a well-formed request from the stream is a
+    // wrong answer.  A shed is the server's typed answer to overload: it
+    // is correct, but counts as a failed request below.
+    rep.check(ph->errors == 0,
+              std::to_string(ph->errors) + " requests were answered with an error");
     for (const auto& smp : ph->sample) {
       const auto req = wl.nth(smp.index);
       const auto bytes = canonical_bytes(smp.resp);

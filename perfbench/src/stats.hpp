@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -65,6 +66,49 @@ inline window_summary by_window(const std::vector<double>& t, const std::vector<
   }
   return out;
 }
+
+/// A uniform sample of at most `cap` values from a stream (Vitter's
+/// algorithm R with a fixed-seed splitmix64, so deterministic), in
+/// storage reserved up front.  Memory does not grow with the stream, so a
+/// faster program that times more requests does not read as a bigger one.
+/// Below `cap` values it keeps them all.
+class reservoir {
+ public:
+  explicit reservoir(std::size_t cap) : cap_(cap) { kept_.reserve(cap); }
+
+  void add(double x) {
+    ++seen_;
+    sum_ += x;
+    if (kept_.size() < cap_) {
+      kept_.push_back(x);
+      return;
+    }
+    const std::uint64_t j = next() % seen_;
+    if (j < cap_) kept_[j] = x;
+  }
+  /// Forgets the values; keeps the storage and the random stream.
+  void clear() {
+    kept_.clear();
+    seen_ = 0;
+    sum_ = 0;
+  }
+  [[nodiscard]] std::uint64_t seen() const { return seen_; }
+  [[nodiscard]] double sum() const { return sum_; }
+  [[nodiscard]] const std::vector<double>& kept() const { return kept_; }
+
+ private:
+  std::uint64_t next() {
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+  std::size_t cap_;
+  std::vector<double> kept_;
+  std::uint64_t seen_ = 0;
+  double sum_ = 0;
+  std::uint64_t state_ = 0;
+};
 
 /// Offered rate of an arrival schedule: the requests due inside the
 /// window [0, window_s], divided by the window.  `due_s` holds absolute

@@ -28,6 +28,10 @@ constexpr std::size_t k_setup_publishes = 20;
 constexpr std::size_t k_publishes_per_iteration = 3;
 /// Portal-shaped queries replayed on each iteration's loaded catalog.
 constexpr std::size_t k_parity_queries = 4000;
+/// Parity-query latency samples kept over a run: more than a 30 s run
+/// times today (~100 k), in storage reserved once, so the benchmark's own
+/// memory does not grow with the program's speed.
+constexpr std::size_t k_query_samples = std::size_t{1} << 17;
 
 /// scenario::build, call for call, with a span around each library call.
 eval::scenario reassemble(const eval::scenario_config& cfg, tracer& tr) {
@@ -102,18 +106,19 @@ int run_study(const options& opt, report& rep) {
   const std::string resaved = opt.out_dir + "/study-resaved.opwatc";
 
   // ---- set-up: the epoch studies (the references) and publish timing ----
-  const auto t_setup = now_ns();
   fixture fx;
-  build_fixture(fx, opt, [&](std::size_t e) { return study_config(opt.seed, e); }, tr, rep);
+  const double build_s =
+      build_fixture(fx, opt, [&](std::size_t e) { return study_config(opt.seed, e); }, tr, rep);
+  const auto t_setup = now_ns();
   serve::shared_catalog shared;
   const auto served = [&](std::uint64_t v) { return shared.version() >= v; };
   auto pubs = setup_publishes(fx, shared, served, tr, k_setup_publishes);
-  const double setup_s = since_s(t_setup);
+  const double setup_s = build_s + since_s(t_setup);
   std::cout << "set-up " << setup_s << " s; epoch 0 " << describe_quality(fx.digests[0]) << "\n";
 
   std::vector<double> untraced_s, traced_s;
   // Parity-query times of every untraced iteration, pooled.
-  std::vector<double> query_ns;
+  reservoir query_ns{k_query_samples};
   double total_bytes = 0, total_rows = 0;
   std::vector<iteration> traced_its;
   std::vector<std::string> store_bytes(k_epochs);  // first save per epoch seed
@@ -171,7 +176,7 @@ int run_study(const options& opt, report& rep) {
 
     // The loaded catalog answers a portal-shaped stream exactly as the
     // in-memory one does.
-    const traffic wl{*loaded, opt.seed};
+    const auto wl = traffic(*loaded, opt.seed);
     for (std::size_t j = 0; j < k_parity_queries; ++j) {
       const auto req = wl.nth(j);
       serve::exec::stats st;
@@ -182,7 +187,7 @@ int run_study(const options& opt, report& rep) {
         got = answer(req, *loaded, &st);
       }
       const auto q1 = now_ns();
-      if (!traced) query_ns.push_back(static_cast<double>(q1 - q0));
+      if (!traced) query_ns.add(static_cast<double>(q1 - q0));
       const auto want = answer(req, cat);
       rep.check(got.status == portal::portal_errc::ok, "parity query failed on the loaded catalog");
       rep.check(canonical_bytes(got) == canonical_bytes(want),
@@ -220,11 +225,9 @@ int run_study(const options& opt, report& rep) {
   const auto host1 = read_host_cpu();
 
   const double study_s = median(untraced_s);
-  double query_total_ns = 0;
-  for (const double v : query_ns) query_total_ns += v;
-  const auto lat = summarize_latency(query_ns);
+  const auto lat = summarize_latency(query_ns.kept());
   std::cout << "study: " << untraced_s.size() << " untraced iterations, median " << study_s
-            << " s; parity queries " << describe(lat) << "\n";
+            << " s; " << query_ns.seen() << " parity queries, " << describe(lat) << "\n";
 
   if (!opt.trace) {
     e2e_values v;
@@ -232,7 +235,7 @@ int run_study(const options& opt, report& rep) {
     v.peak_rss_mb = peak_rss_mb();
     v.study_s = study_s;
     v.store_bytes_per_row = total_bytes / total_rows;
-    v.qps = static_cast<double>(query_ns.size()) / (query_total_ns / 1e9);
+    v.qps = static_cast<double>(query_ns.seen()) / (query_ns.sum() / 1e9);
     v.p50_us = lat.p50_us;
     v.p99_us = lat.p99_us;
     v.ok_frac = 1.0 - static_cast<double>(rep.failed()) / static_cast<double>(rep.attempted());
