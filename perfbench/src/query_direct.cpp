@@ -35,8 +35,8 @@ constexpr std::size_t k_checked = 20000;
 constexpr std::size_t k_traced_requests = 100000;
 
 /// Latency samples kept per window: about twice what a window holds at
-/// today's rate (~35 k requests), in storage reserved once, so the replay's own
-/// memory does not grow with the program's speed.
+/// today's rate (~35 k requests), in storage reserved once, so the
+/// replay's own memory does not grow with the program's speed.
 constexpr std::size_t k_window_samples = std::size_t{1} << 16;
 
 /// Per whole window of the replay.
