@@ -1,19 +1,24 @@
 // Workload `study`: the researcher's path.  One paper-scale study per
 // iteration — scenario::build → run_inference → catalog::ingest → save →
-// load — cycling over the set-up's epoch seeds, so every iteration has a
-// reference to match.
+// load.  Each world (study seed e = 0, 1, 2, ... derived from the workload
+// seed) is studied twice in a row, and a run goes on to new worlds as long
+// as its time allows: the studies differ in size from world to world, and
+// a run over many of them is steadier than one that cycles over three.
+// Every study must match its world's reference: the set-up's study for
+// the set-up's worlds, the first of the pair for later ones.
 //
-// The traced run alternates, per seed, a traced iteration that
-// reassembles scenario::build from the same public calls in the same
-// order (one span per call) with an untraced scenario::build iteration;
-// the traced study must equal the reference for its seed, and the
-// difference of the two medians is the tracing overhead.
+// The traced run makes each pair a traced iteration that reassembles
+// scenario::build from the same public calls in the same order (one span
+// per call) and an untraced scenario::build iteration, alternating which
+// goes first; the two must match, and the difference of the two medians is
+// the tracing overhead.
 #include <algorithm>
 #include <iostream>
 #include <optional>
 
 #include "bench.hpp"
 #include "opwat/portal/workload.hpp"
+#include "opwat/util/rng.hpp"
 #include "stats.hpp"
 
 namespace perfbench {
@@ -27,11 +32,13 @@ namespace {
 constexpr std::size_t k_setup_publishes = 20;
 constexpr std::size_t k_publishes_per_iteration = 3;
 /// Portal-shaped queries replayed on each iteration's loaded catalog.
+/// The stream goes on from iteration to iteration, so a run times many
+/// distinct requests rather than the same ones again and again.
 constexpr std::size_t k_parity_queries = 4000;
-/// Parity-query latency samples kept over a run: more than a 30 s run
-/// times today (~100 k), in storage reserved once, so the benchmark's own
-/// memory does not grow with the program's speed.
-constexpr std::size_t k_query_samples = std::size_t{1} << 17;
+/// Parity-query latency samples kept over a run: about twice what a 40 s
+/// run times today (~120 k), in storage reserved once, so the benchmark's
+/// own memory does not grow with the program's speed.
+constexpr std::size_t k_query_samples = std::size_t{1} << 18;
 
 /// scenario::build, call for call, with a span around each library call.
 eval::scenario reassemble(const eval::scenario_config& cfg, tracer& tr) {
@@ -119,9 +126,12 @@ int run_study(const options& opt, report& rep) {
   std::vector<double> untraced_s, traced_s;
   // Parity-query times of every untraced iteration, pooled.
   reservoir query_ns{k_query_samples};
+  std::uint64_t next_query = 0;  // index into the request stream
   double total_bytes = 0, total_rows = 0;
   std::vector<iteration> traced_its;
-  std::vector<std::string> store_bytes(k_epochs);  // first save per epoch seed
+  // Per world: the reference study and the hash of its first save.
+  std::vector<std::optional<study_digest>> refs(fx.digests.begin(), fx.digests.end());
+  std::vector<std::optional<std::uint64_t>> store_hash;
   std::vector<portal::request> sample_reqs;
   std::vector<portal::response> sample_resps;
   exec_totals scans;
@@ -163,22 +173,26 @@ int run_study(const options& opt, report& rep) {
     it.rows = loaded->at(0).rows();
 
     // Same seed, same study: scope, trace count, every inference and the
-    // per-step accuracy and coverage all match the set-up's reference.
-    rep.check(it.digest == fx.digests[e],
-              "study of epoch seed " + std::to_string(e) + " differs from the set-up's (" +
-                  describe_quality(it.digest) + " vs " + describe_quality(fx.digests[e]) + ")");
+    // per-step accuracy and coverage all match the world's reference.
+    if (refs.size() <= e) refs.resize(e + 1);
+    if (!refs[e]) refs[e] = it.digest;
+    rep.check(it.digest == *refs[e],
+              "study of world " + std::to_string(e) + " differs from its reference (" +
+                  describe_quality(it.digest) + " vs " + describe_quality(*refs[e]) + ")");
     // save → load → save is byte-stable, and so is every save of a seed.
     loaded->save(resaved);
     const std::string bytes = read_file(path);
     rep.check(bytes == read_file(resaved), "save -> load -> save is not byte-stable");
-    if (store_bytes[e].empty()) store_bytes[e] = bytes;
-    rep.check(bytes == store_bytes[e], "saving the same study twice gave different bytes");
+    const std::uint64_t hash = util::stable_hash(bytes);
+    if (store_hash.size() <= e) store_hash.resize(e + 1);
+    if (!store_hash[e]) store_hash[e] = hash;
+    rep.check(hash == *store_hash[e], "saving the same study twice gave different bytes");
 
     // The loaded catalog answers a portal-shaped stream exactly as the
     // in-memory one does.
     const auto wl = traffic(*loaded, opt.seed);
     for (std::size_t j = 0; j < k_parity_queries; ++j) {
-      const auto req = wl.nth(j);
+      const auto req = wl.nth(next_query++);
       serve::exec::stats st;
       portal::response got;
       const auto q0 = now_ns();
@@ -191,7 +205,7 @@ int run_study(const options& opt, report& rep) {
       const auto want = answer(req, cat);
       rep.check(got.status == portal::portal_errc::ok, "parity query failed on the loaded catalog");
       rep.check(canonical_bytes(got) == canonical_bytes(want),
-                "loaded catalog answers query " + std::to_string(j) + " differently");
+                "loaded catalog answers query " + std::to_string(next_query - 1) + " differently");
       scans.add(st, req, got);
       if (traced && sample_reqs.size() < k_parity_queries) {
         sample_reqs.push_back(req);
@@ -208,26 +222,23 @@ int run_study(const options& opt, report& rep) {
     if (traced) traced_its.push_back(std::move(it));
   };
 
-  // ---- measured phase: whole cycles over the epoch seeds ----
+  // ---- measured phase: two studies of each world, world after world ----
   const auto host0 = read_host_cpu();
   const auto t0 = now_ns();
-  for (std::size_t i = 0;; ++i) {
-    if (i % k_epochs == 0 && i > 0 && since_s(t0) >= opt.seconds) break;
-    const std::size_t e = i % k_epochs;
-    if (!opt.trace) {
-      run_one(e, false);
-    } else {
-      // Alternate which of the pair goes first.
-      run_one(e, i % 2 == 0);
-      run_one(e, i % 2 != 0);
-    }
+  for (std::size_t e = 0;; ++e) {
+    if (e > 0 && since_s(t0) >= opt.seconds) break;
+    // Untraced: both plain.  Traced: one of each, alternating which is first.
+    run_one(e, opt.trace && e % 2 == 0);
+    run_one(e, opt.trace && e % 2 != 0);
   }
   const auto host1 = read_host_cpu();
 
   const double study_s = median(untraced_s);
   const auto lat = summarize_latency(query_ns.kept());
-  std::cout << "study: " << untraced_s.size() << " untraced iterations, median " << study_s
-            << " s; " << query_ns.seen() << " parity queries, " << describe(lat) << "\n";
+  std::cout << "study: " << untraced_s.size() << " untraced iterations over " << refs.size()
+            << " worlds, median " << study_s << " s; " << query_ns.seen() << " parity queries, "
+            << static_cast<double>(scans.st.rows_scanned) / static_cast<double>(scans.queries)
+            << " rows scanned per scanning query, " << describe(lat) << "\n";
 
   if (!opt.trace) {
     e2e_values v;
