@@ -82,7 +82,7 @@ struct scenario {
   }
 };
 
-/// The default full-size scenario used by the benches (~60 IXPs, ~2400
+/// The default full-size scenario used by the benches (~60 IXPs, ~3200
 /// ASes) and a small one for tests.
 [[nodiscard]] scenario_config default_scenario_config();
 [[nodiscard]] scenario_config small_scenario_config(std::uint64_t seed = 7);

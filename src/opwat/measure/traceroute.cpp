@@ -1,30 +1,51 @@
 #include "opwat/measure/traceroute.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_set>
 
 namespace opwat::measure {
 
 traceroute_engine::traceroute_engine(const world::world& w, const latency_model& lat,
                                      traceroute_config cfg)
     : w_(w), lat_(lat), cfg_(cfg) {
-  as_memberships_.assign(w.ases.size(), {});
-  ixp_memberships_.assign(w.ixps.size(), {});
-  as_private_.assign(w.ases.size(), {});
+  std::vector<std::vector<private_adj>> as_private(w.ases.size());
+  std::vector<std::vector<membership_adj>> as_memberships(w.ases.size());
+  std::vector<std::vector<world::as_id>> ixp_members(w.ixps.size());
   for (const auto& m : w.memberships) {
-    as_memberships_[m.member].push_back(m.id);
-    ixp_memberships_[m.ixp].push_back(m.id);
+    as_memberships[m.member].push_back({m.ixp, m.id});
+    ixp_members[m.ixp].push_back(m.member);
   }
   for (std::size_t i = 0; i < w.private_links.size(); ++i) {
-    as_private_[w.private_links[i].a].push_back(i);
-    as_private_[w.private_links[i].b].push_back(i);
+    const auto& pl = w.private_links[i];
+    const auto link = static_cast<std::uint32_t>(i);
+    as_private[pl.a].push_back({pl.b, link});
+    as_private[pl.b].push_back({pl.a, link});
   }
+  as_private_.assign(as_private);
+  as_memberships_.assign(as_memberships);
+  ixp_members_.assign(ixp_members);
+
+  fac_routers_.assign(w.facilities.size(), {world::k_invalid, world::k_invalid});
+  for (const auto& rt : w.routers) {
+    if (!rt.facility || rt.interfaces.empty()) continue;
+    auto& slots = fac_routers_[*rt.facility];
+    if (slots[0] == world::k_invalid)
+      slots[0] = rt.id;
+    else if (slots[1] == world::k_invalid)
+      slots[1] = rt.id;
+  }
+
   for (const auto& as : w.ases)
-    if (!as_memberships_[as.id].empty() || !as_private_[as.id].empty())
+    if (!as_memberships[as.id].empty() || !as_private[as.id].empty())
       connected_.push_back(as.id);
   for (const auto& as : w.ases)
     for (const auto& p : as.routed_prefixes) routed_lookup_.insert(p, as.id);
+
+  bfs_.as_stamp.assign(w.ases.size(), 0);
+  bfs_.ixp_stamp.assign(w.ixps.size(), 0);
+  bfs_.parent_edge.resize(w.ases.size());
+  bfs_.parent_as.resize(w.ases.size());
+  bfs_.depth.resize(w.ases.size());
+  bfs_.queue.reserve(w.ases.size());
 }
 
 net::ipv4_addr traceroute_engine::egress_iface(world::router_id rid,
@@ -35,73 +56,64 @@ net::ipv4_addr traceroute_engine::egress_iface(world::router_id rid,
   return rt.interfaces[idx];
 }
 
-const traceroute_engine::bfs_tree& traceroute_engine::tree_for(world::as_id src) const {
-  if (tree_cache_.src == src && !tree_cache_.seen.empty()) return tree_cache_;
-  // Full BFS over the bipartite AS<->IXP graph plus private edges.
+void traceroute_engine::expand_next() const {
   // Private interconnects are explored first: networks prefer their
   // (cheaper, dedicated) private links over IXP fabric when both exist.
-  bfs_tree t;
-  t.src = src;
-  t.parent_edge.assign(w_.ases.size(), {});
-  t.parent_as.assign(w_.ases.size(), world::k_invalid);
-  t.seen.assign(w_.ases.size(), 0);
-  std::vector<char> ixp_seen(w_.ixps.size(), 0);
-  std::vector<int> depth(w_.ases.size(), 0);
+  auto& b = bfs_;
+  const auto u = b.queue[b.head++];
+  if (b.depth[u] >= cfg_.max_as_hops) return;
 
-  std::deque<world::as_id> queue;
-  queue.push_back(src);
-  t.seen[src] = 1;
+  const auto visit = [&](world::as_id v, const as_edge& e) {
+    if (b.as_stamp[v] == b.gen) return;
+    b.as_stamp[v] = b.gen;
+    b.parent_edge[v] = e;
+    b.parent_as[v] = u;
+    b.depth[v] = b.depth[u] + 1;
+    b.queue.push_back(v);
+  };
 
-  while (!queue.empty()) {
-    const auto u = queue.front();
-    queue.pop_front();
-    if (depth[u] >= cfg_.max_as_hops) continue;
-
-    const auto visit = [&](world::as_id v, const as_edge& e) {
-      if (t.seen[v]) return;
-      t.seen[v] = 1;
-      t.parent_edge[v] = e;
-      t.parent_as[v] = u;
-      depth[v] = depth[u] + 1;
-      queue.push_back(v);
-    };
-
-    for (const auto pidx : as_private_[u]) {
-      const auto& pl = w_.private_links[pidx];
-      const auto v = pl.a == u ? pl.b : pl.a;
+  for (const auto& p : as_private_.row(u)) {
+    as_edge e;
+    e.to = p.peer;
+    e.via_private = p.link;
+    visit(p.peer, e);
+  }
+  for (const auto& m : as_memberships_.row(u)) {
+    if (b.ixp_stamp[m.ixp] == b.gen) continue;
+    b.ixp_stamp[m.ixp] = b.gen;
+    for (const auto v : ixp_members_.row(m.ixp)) {
+      if (v == u) continue;
       as_edge e;
       e.to = v;
-      e.via_private = pidx;
+      e.via_ixp = m.ixp;
       visit(v, e);
     }
-    for (const auto mid : as_memberships_[u]) {
-      const auto x = w_.memberships[mid].ixp;
-      if (ixp_seen[x]) continue;
-      ixp_seen[x] = 1;
-      for (const auto mid2 : ixp_memberships_[x]) {
-        const auto v = w_.memberships[mid2].member;
-        if (v == u) continue;
-        as_edge e;
-        e.to = v;
-        e.via_ixp = x;
-        visit(v, e);
-      }
-    }
   }
-  tree_cache_ = std::move(t);
-  return tree_cache_;
 }
 
-std::optional<std::vector<traceroute_engine::as_edge>> traceroute_engine::find_path(
+std::optional<std::span<const traceroute_engine::as_edge>> traceroute_engine::find_path(
     world::as_id src, world::as_id dst) const {
-  if (src == dst) return std::vector<as_edge>{};
-  const auto& t = tree_for(src);
-  if (!t.seen[dst]) return std::nullopt;
-  std::vector<as_edge> path;
-  for (world::as_id cur = dst; cur != src; cur = t.parent_as[cur])
-    path.push_back(t.parent_edge[cur]);
-  std::reverse(path.begin(), path.end());
-  return path;
+  auto& b = bfs_;
+  b.path.clear();
+  if (src == dst) return b.path;
+  if (b.src != src) {
+    if (++b.gen == 0) {  // stamps wrapped: forget every earlier search
+      std::fill(b.as_stamp.begin(), b.as_stamp.end(), 0);
+      std::fill(b.ixp_stamp.begin(), b.ixp_stamp.end(), 0);
+      b.gen = 1;
+    }
+    b.src = src;
+    b.as_stamp[src] = b.gen;
+    b.depth[src] = 0;
+    b.queue.assign(1, src);
+    b.head = 0;
+  }
+  while (b.as_stamp[dst] != b.gen && b.head < b.queue.size()) expand_next();
+  if (b.as_stamp[dst] != b.gen) return std::nullopt;
+  for (world::as_id cur = dst; cur != src; cur = b.parent_as[cur])
+    b.path.push_back(b.parent_edge[cur]);
+  std::reverse(b.path.begin(), b.path.end());
+  return b.path;
 }
 
 std::optional<trace> traceroute_engine::run(world::as_id src, net::ipv4_addr dst,
@@ -114,11 +126,12 @@ std::optional<trace> traceroute_engine::run(world::as_id src, net::ipv4_addr dst
   trace t;
   t.src_as = src;
   t.dst = dst;
+  t.hops.reserve(2 + 2 * as_path->size());
 
   // Membership of an AS at an IXP (first match).
   const auto membership_at = [&](world::as_id as, world::ixp_id x) -> const world::membership* {
-    for (const auto mid : as_memberships_[as])
-      if (w_.memberships[mid].ixp == x) return &w_.memberships[mid];
+    for (const auto& m : as_memberships_.row(as))
+      if (m.ixp == x) return &w_.memberships[m.id];
     return nullptr;
   };
 
@@ -150,10 +163,11 @@ std::optional<trace> traceroute_engine::run(world::as_id src, net::ipv4_addr dst
 
   if (as_path->empty()) {
     // Intra-AS destination.
-    if (as_memberships_[src].empty() && as_private_[src].empty()) return std::nullopt;
-    const auto rid = !as_memberships_[src].empty()
-                         ? w_.memberships[as_memberships_[src].front()].router
-                         : w_.private_links[as_private_[src].front()].router_a;
+    const auto mems = as_memberships_.row(src);
+    const auto privs = as_private_.row(src);
+    if (mems.empty() && privs.empty()) return std::nullopt;
+    const auto rid = !mems.empty() ? w_.memberships[mems.front().id].router
+                                   : w_.private_links[privs.front().link].router_a;
     const auto p = latency_model::point_of_router(w_, rid);
     emit(egress_iface(rid, 0), p);
     emit(dst, p);
@@ -162,7 +176,6 @@ std::optional<trace> traceroute_engine::run(world::as_id src, net::ipv4_addr dst
   }
 
   // Source hop: the egress interface of the router taking the first edge.
-  world::as_id cur_as = src;
   {
     const auto rid = egress_router(src, as_path->front());
     if (rid == world::k_invalid) return std::nullopt;
@@ -202,22 +215,16 @@ std::optional<trace> traceroute_engine::run(world::as_id src, net::ipv4_addr dst
       // Third-party artifact: a different router in the same facility
       // answers instead.
       if (r.bernoulli(cfg_.third_party_rate)) {
-        const auto& rt = w_.routers[rid];
-        if (rt.facility) {
-          for (const auto& other : w_.routers) {
-            if (other.id != rid && other.facility == rt.facility &&
-                !other.interfaces.empty()) {
-              ip = other.interfaces.front();
-              break;
-            }
-          }
+        const auto& fac = w_.routers[rid].facility;
+        if (fac) {
+          const auto& slots = fac_routers_[*fac];
+          const auto other = slots[0] != rid ? slots[0] : slots[1];
+          if (other != world::k_invalid) ip = w_.routers[other].interfaces.front();
         }
       }
       emit(ip, latency_model::point_of_router(w_, rid));
     }
-    cur_as = v;
   }
-  (void)cur_as;
   return t;
 }
 
@@ -225,6 +232,7 @@ std::vector<trace> traceroute_engine::campaign(std::span<const world::as_id> sou
                                                std::size_t targets_per_src,
                                                util::rng& r) const {
   std::vector<trace> out;
+  out.reserve(sources.size() * targets_per_src);
   for (const auto src : sources) {
     for (std::size_t k = 0; k < targets_per_src; ++k) {
       const auto dst_as = connected_[static_cast<std::size_t>(

@@ -11,6 +11,8 @@
 // RTT noise.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -41,6 +43,9 @@ struct traceroute_config {
   int max_as_hops = 5;
 };
 
+/// Not thread-safe: `run()`, `campaign()` and `find_path()` are `const`
+/// but advance the engine's cached path search, so one engine must not be
+/// shared across threads.  Give each thread its own engine.
 class traceroute_engine {
  public:
   traceroute_engine(const world::world& w, const latency_model& lat,
@@ -77,29 +82,71 @@ class traceroute_engine {
     std::size_t via_private = static_cast<std::size_t>(-1);
   };
 
-  struct bfs_tree {
-    world::as_id src = world::k_invalid;
-    std::vector<as_edge> parent_edge;
-    std::vector<world::as_id> parent_as;
-    std::vector<char> seen;
+  /// Compressed adjacency: row i is items[offsets[i], offsets[i + 1]).
+  template <typename T>
+  struct csr {
+    std::vector<std::uint32_t> offsets;
+    std::vector<T> items;
+    [[nodiscard]] std::span<const T> row(std::size_t i) const noexcept {
+      return {items.data() + offsets[i], items.data() + offsets[i + 1]};
+    }
+    void assign(const std::vector<std::vector<T>>& rows) {
+      offsets.assign(1, 0);
+      for (const auto& r : rows) {
+        items.insert(items.end(), r.begin(), r.end());
+        offsets.push_back(static_cast<std::uint32_t>(items.size()));
+      }
+    }
+  };
+  struct private_adj {
+    world::as_id peer;
+    std::uint32_t link;  // index into world::private_links
+  };
+  struct membership_adj {
+    world::ixp_id ixp;
+    world::membership_id id;
   };
 
-  [[nodiscard]] std::optional<std::vector<as_edge>> find_path(world::as_id src,
-                                                              world::as_id dst) const;
-  const bfs_tree& tree_for(world::as_id src) const;
+  /// Breadth-first search from `src`, expanded only as far as a query
+  /// needs.  Parents never change once a node is discovered, so a path read
+  /// after a partial expansion equals the one a full expansion gives, and a
+  /// later destination from the same source resumes where the last stopped.
+  /// A node is discovered in the current search when its stamp equals
+  /// `gen`, so a new source clears nothing but the queue.
+  struct bfs_state {
+    world::as_id src = world::k_invalid;
+    std::uint32_t gen = 0;
+    std::vector<std::uint32_t> as_stamp, ixp_stamp;
+    std::vector<as_edge> parent_edge;
+    std::vector<world::as_id> parent_as;
+    std::vector<int> depth;
+    std::vector<world::as_id> queue;  // discovery order; [head, end) is unexpanded
+    std::size_t head = 0;
+    std::vector<as_edge> path;  // the last path found, source first
+  };
+
+  /// The AS path from `src` to `dst` within `max_as_hops`, or std::nullopt.
+  /// The span stays valid until the next call.
+  [[nodiscard]] std::optional<std::span<const as_edge>> find_path(world::as_id src,
+                                                                  world::as_id dst) const;
+  void expand_next() const;
   [[nodiscard]] net::ipv4_addr egress_iface(world::router_id rid, std::uint64_t tag) const;
 
   const world::world& w_;
   const latency_model& lat_;
   traceroute_config cfg_;
-  // Adjacency: AS -> memberships (IXPs), AS -> private link indices.
-  std::vector<std::vector<world::membership_id>> as_memberships_;
-  std::vector<std::vector<std::size_t>> as_private_;
-  std::vector<std::vector<world::membership_id>> ixp_memberships_;
+  // Adjacency, each row in world order: AS -> private links, AS -> IXP
+  // memberships, IXP -> member ASes.  The order fixes the BFS visit order
+  // and so which of several shortest paths is taken.
+  csr<private_adj> as_private_;
+  csr<membership_adj> as_memberships_;
+  csr<world::as_id> ixp_members_;
+  // Per facility, the first two routers (world order) with an interface:
+  // the candidates for a third-party reply.
+  std::vector<std::array<world::router_id, 2>> fac_routers_;
   std::vector<world::as_id> connected_;
   net::lpm_table<world::as_id> routed_lookup_;
-  // Single-entry BFS-tree cache: campaigns iterate source by source.
-  mutable bfs_tree tree_cache_;
+  mutable bfs_state bfs_;
 };
 
 }  // namespace opwat::measure

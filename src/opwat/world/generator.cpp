@@ -20,8 +20,17 @@ namespace {
 
 using util::rng;
 
+/// An IXP's members outgrew the peering LAN sized for its member target.
+struct lan_exhausted : std::runtime_error {
+  lan_exhausted(ixp_id id, const std::string& name)
+      : std::runtime_error{"generator: peering LAN exhausted for " + name}, ixp(id) {}
+  ixp_id ixp;
+};
+
 struct gen_state {
   const gen_config& cfg;
+  // Extra prefix bits per IXP LAN, beyond the size its member target asks.
+  const std::vector<int>& lan_extra_bits;
   world w;
   rng root;
   net::address_plan plan;
@@ -42,7 +51,8 @@ struct gen_state {
   // Per-IXP next free LAN host index.
   std::vector<std::uint64_t> lan_cursor;
 
-  explicit gen_state(const gen_config& c) : cfg(c), root(c.seed) {}
+  gen_state(const gen_config& c, const std::vector<int>& extra_bits)
+      : cfg(c), lan_extra_bits(extra_bits), root(c.seed) {}
 };
 
 double geodesic_between_cities(const gen_state& st, city_id a, city_id b) {
@@ -158,7 +168,8 @@ void make_ixps(gen_state& st, const std::vector<std::size_t>& member_targets) {
 
     // Peering LAN sized to the expected member count.
     const std::size_t target = member_targets[rank];
-    const int lan_len = target <= 220 ? 24 : (target <= 480 ? 23 : 22);
+    const int lan_len =
+        (target <= 220 ? 24 : (target <= 480 ? 23 : 22)) - st.lan_extra_bits[rank];
     x.peering_lan = st.plan.ixp_lans.allocate(lan_len);
     x.route_server_ip = x.peering_lan.at(1);
 
@@ -301,8 +312,7 @@ membership_id add_membership(gen_state& st, ixp_id ixp, as_id as, attachment how
   m.port = port;
   m.attach_facility = attach_fac;
   auto& cursor = st.lan_cursor[ixp];
-  if (cursor >= x.peering_lan.size() - 1)
-    throw std::runtime_error{"generator: peering LAN exhausted for " + x.name};
+  if (cursor >= x.peering_lan.size() - 1) throw lan_exhausted{ixp, x.name};
   m.interface_ip = x.peering_lan.at(cursor++);
   st.ixp_members[ixp].insert(as);
   st.w.memberships.push_back(m);
@@ -711,12 +721,8 @@ void make_private_links(gen_state& st) {
   }
 }
 
-}  // namespace
-
-world generate(const gen_config& cfg) {
-  if (cfg.n_ixps == 0 || cfg.n_ases == 0)
-    throw std::runtime_error{"generator: need at least one IXP and one AS"};
-  gen_state st{cfg};
+world generate_once(const gen_config& cfg, const std::vector<int>& lan_extra_bits) {
+  gen_state st{cfg, lan_extra_bits};
   make_cities(st);
   make_facilities(st);
   auto sizes_rng = st.root.fork("sizes");
@@ -734,6 +740,25 @@ world generate(const gen_config& cfg) {
   }
   st.w.finalize();
   return std::move(st.w);
+}
+
+}  // namespace
+
+world generate(const gen_config& cfg) {
+  if (cfg.n_ixps == 0 || cfg.n_ases == 0)
+    throw std::runtime_error{"generator: need at least one IXP and one AS"};
+  // The members placed at an IXP can outgrow the LAN sized for its member
+  // target.  Such a world is generated again from the same seed with that
+  // LAN doubled: no random draw depends on a LAN's size, so only LAN
+  // addresses differ, and a world that fits is generated exactly once.
+  std::vector<int> lan_extra_bits(cfg.n_ixps, 0);
+  for (;;) {
+    try {
+      return generate_once(cfg, lan_extra_bits);
+    } catch (const lan_exhausted& e) {
+      ++lan_extra_bits[e.ixp];
+    }
+  }
 }
 
 gen_config tiny_config(std::uint64_t seed) {

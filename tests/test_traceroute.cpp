@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "opwat/measure/traceroute.hpp"
 #include "opwat/world/generator.hpp"
+#include "oracle/eager_bfs.hpp"
 
 namespace {
 
@@ -149,6 +154,156 @@ TEST_F(TracerouteTest, VpTraceMatchesPingScale) {
   const double base = lat_->base_rtt_ms(vp, router_pt);
   EXPECT_GE(t.hops[0].rtt_ms, base);
   EXPECT_LT(t.hops[0].rtt_ms, base + 80.0);
+}
+
+// --- agreement with the eager-BFS oracle -----------------------------------
+
+// The address on the hop entering `e.to`: its LAN address at the IXP (first
+// membership there) or its own end of the private link.
+net::ipv4_addr ingress_ip(const world::world& w, const oracle::as_edge& e) {
+  if (e.via_ixp != world::k_invalid) {
+    for (const auto mid : w.memberships_of_as(e.to))
+      if (w.memberships[mid].ixp == e.via_ixp) return w.memberships[mid].interface_ip;
+    ADD_FAILURE() << "AS " << e.to << " is not a member of IXP " << e.via_ixp;
+    return {};
+  }
+  const auto& pl = w.private_links[e.via_private];
+  return pl.a == e.to ? pl.ip_a : pl.ip_b;
+}
+
+// One engine (stars and third-party replies off) checked query by query
+// against the oracle: with no artifacts a trace is the source's egress hop,
+// then per AS edge the ingress address and the next egress (or, last, the
+// destination), so every ingress hop is fixed by the oracle's path.
+class oracle_check {
+ public:
+  oracle_check(std::uint64_t seed, int max_as_hops)
+      : w_(world::generate(world::tiny_config(seed))),
+        oracle_(w_, max_as_hops),
+        engine_(w_, lat_, traceroute_config{0.0, 0.0, max_as_hops}) {
+    for (const auto& as : w_.ases)
+      if (!as.routed_prefixes.empty()) targets_.push_back(as.id);
+  }
+
+  const oracle::eager_bfs& oracle() const { return oracle_; }
+  const std::vector<world::as_id>& sources() const { return engine_.connected_ases(); }
+  const std::vector<world::as_id>& targets() const { return targets_; }
+
+  // Traces src -> the first address of dst's first routed prefix.
+  void run(world::as_id src, world::as_id dst) {
+    SCOPED_TRACE(testing::Message() << "src " << src << " dst " << dst);
+    const auto addr = w_.ases[dst].routed_prefixes.front().at(1);
+    const auto expected = oracle_.path(src, dst);
+    const auto t = engine_.run(src, addr, r_);
+    ASSERT_EQ(t.has_value(), expected.has_value());
+    if (!expected) {
+      ++unreachable;
+      return;
+    }
+    ++reached;
+    if (expected->size() >= 2) ++multi_hop;
+    ASSERT_TRUE(t->reached);
+    ASSERT_EQ(t->hops.size(), expected->empty() ? 2u : 1 + 2 * expected->size());
+    for (std::size_t i = 0; i < expected->size(); ++i)
+      EXPECT_EQ(t->hops[1 + 2 * i].ip, ingress_ip(w_, (*expected)[i])) << "edge " << i;
+    EXPECT_EQ(t->hops.back().ip, addr);
+  }
+
+  std::size_t reached = 0, unreachable = 0, multi_hop = 0;
+
+ private:
+  world::world w_;
+  latency_model lat_{66};
+  oracle::eager_bfs oracle_;
+  traceroute_engine engine_;
+  std::vector<world::as_id> targets_;
+  util::rng r_{11};
+};
+
+class TracerouteOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TracerouteOracleTest, EveryTraceFollowsOraclePath) {
+  for (const std::uint64_t seed : {51u, 52u, 53u}) {
+    oracle_check c{seed, GetParam()};
+    const auto& srcs = c.sources();
+    const auto& dsts = c.targets();
+    ASSERT_GT(srcs.size(), 20u);
+    // Sources alternate A, B, A so the engine switches searches both ways
+    // and returns to one it has already left; each source also traces to
+    // itself.
+    for (std::size_t i = 0; i + 1 < 20; i += 2) {
+      for (const auto src : {srcs[i], srcs[i + 1], srcs[i]}) {
+        for (std::size_t k = 0; k < 15; ++k) c.run(src, dsts[(src * 31 + k * 17) % dsts.size()]);
+        c.run(src, src);
+      }
+    }
+    EXPECT_GT(c.reached, 0u);
+    if (GetParam() >= 2) {
+      EXPECT_GT(c.multi_hop, 0u);
+    } else {
+      EXPECT_GT(c.unreachable, 0u);
+    }
+  }
+}
+
+TEST_P(TracerouteOracleTest, UnreachableThenReachableFromOneSource) {
+  std::size_t cases = 0;
+  for (const std::uint64_t seed : {51u, 52u, 53u}) {
+    oracle_check c{seed, GetParam()};
+    const auto& srcs = c.sources();
+    const auto& dsts = c.targets();
+    for (std::size_t i = 1, seed_cases = 0; i < srcs.size() && seed_cases < 3; ++i) {
+      const auto a = srcs[i];
+      const auto unreachable = std::find_if(dsts.begin(), dsts.end(), [&](world::as_id d) {
+        return !c.oracle().path(a, d).has_value();
+      });
+      const auto reachable = std::find_if(dsts.begin(), dsts.end(), [&](world::as_id d) {
+        const auto p = c.oracle().path(a, d);
+        return p && !p->empty();
+      });
+      if (unreachable == dsts.end() || reachable == dsts.end()) continue;
+      ++seed_cases;
+      ++cases;
+      // Another source first, so `a`'s search starts fresh; the
+      // unreachable destination then exhausts it before the reachable one.
+      c.run(srcs[0], a);
+      c.run(a, *unreachable);
+      c.run(a, *reachable);
+      c.run(a, a);
+      c.run(a, *unreachable);
+    }
+  }
+  EXPECT_EQ(cases, 9u);
+}
+
+INSTANTIATE_TEST_SUITE_P(MaxAsHops, TracerouteOracleTest, ::testing::Values(1, 2, 5));
+
+// The paper-scale corpus is pinned: a digest over every trace of one
+// campaign with the default artifacts (stars, third-party replies, RTT
+// noise) on, so any change to a path, a hop or a random draw shows.
+TEST(TracerouteCorpus, PaperScaleCampaignDigestIsPinned) {
+  const auto w = world::generate(world::gen_config{});
+  const latency_model lat{31};
+  const traceroute_engine engine{w, lat};
+  util::rng r{47};
+  auto sources = engine.connected_ases();
+  r.shuffle(sources);
+  if (sources.size() > 4000) sources.resize(4000);
+  const auto traces = engine.campaign(sources, 30, r);
+
+  std::uint64_t h = 0;
+  for (const auto& t : traces) {
+    h = util::hash_combine(h, t.src_as);
+    h = util::hash_combine(h, t.dst.value());
+    h = util::hash_combine(h, t.reached);
+    for (const auto& hp : t.hops) {
+      h = util::hash_combine(h, hp.ip.value());
+      h = util::hash_combine(h, std::bit_cast<std::uint64_t>(hp.rtt_ms));
+      h = util::hash_combine(h, hp.star);
+    }
+  }
+  EXPECT_EQ(traces.size(), 76200u);
+  EXPECT_EQ(h, 0x7a15a6e3c5fe9d4cULL);
 }
 
 }  // namespace

@@ -219,6 +219,31 @@ TEST(WorldGen, InvalidConfigThrows) {
   EXPECT_THROW((void)generate(cfg), std::runtime_error);
 }
 
+TEST(WorldGen, OutgrownPeeringLanIsWidened) {
+  // With this seed IX-Paris places 502 members, one more than the /23 its
+  // member target sizes; its LAN is widened instead of generation failing.
+  gen_config cfg;
+  cfg.seed = 6136952236746676712ULL;
+  const auto w = generate(cfg);
+  const auto paris = std::find_if(w.ixps.begin(), w.ixps.end(),
+                                  [](const ixp& x) { return x.name == "IX-Paris"; });
+  ASSERT_NE(paris, w.ixps.end());
+  EXPECT_EQ(w.memberships_of_ixp(paris->id).size(), 502u);
+  EXPECT_EQ(paris->peering_lan.length(), 22);
+  std::set<net::ipv4_addr> ips;
+  for (const auto& m : w.memberships) {
+    EXPECT_TRUE(ips.insert(m.interface_ip).second);
+    EXPECT_TRUE(w.ixps[m.ixp].peering_lan.contains(m.interface_ip));
+  }
+  for (const auto& a : w.ixps) {
+    for (const auto& b : w.ixps) {
+      if (a.id != b.id) {
+        EXPECT_FALSE(a.peering_lan.contains(b.peering_lan));
+      }
+    }
+  }
+}
+
 // Property sweep: invariants hold across seeds.
 class WorldSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
