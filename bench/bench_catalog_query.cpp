@@ -208,61 +208,6 @@ constexpr workload k_workloads[] = {
     {"diff_epochs", run_diff},
 };
 
-// --- morsel-parallel scan scaling --------------------------------------------
-
-/// The scan-heavy shapes where query::threads(n) engages the parallel
-/// kernels (member() point lookups and capped row collections keep
-/// their serial fast paths, so they are not in this set).
-std::size_t run_group_by_step_threaded(const serve::catalog& c, const bench_ctx&,
-                                       std::size_t threads,
-                                       serve::exec::stats* st) {
-  return serve::query(c)
-      .threads(threads)
-      .collect_stats(st)
-      .epoch("A")
-      .cls(peering_class::remote)
-      .by_step()
-      .group_counts()
-      .size();
-}
-
-std::size_t run_rtt_ecdf_threaded(const serve::catalog& c, const bench_ctx&,
-                                  std::size_t threads, serve::exec::stats* st) {
-  return serve::query(c)
-      .threads(threads)
-      .collect_stats(st)
-      .epoch("A")
-      .cls(peering_class::remote)
-      .rtt_ecdf(20)
-      .size();
-}
-
-std::size_t run_rtt_band_count_threaded(const serve::catalog& c,
-                                        const bench_ctx& ctx,
-                                        std::size_t threads,
-                                        serve::exec::stats* st) {
-  return serve::query(c)
-      .threads(threads)
-      .collect_stats(st)
-      .epoch("A")
-      .rtt_between(ctx.rtt_lo, ctx.rtt_hi)
-      .count();
-}
-
-struct threaded_workload {
-  const char* name;
-  std::size_t (*run)(const serve::catalog&, const bench_ctx&, std::size_t,
-                     serve::exec::stats*);
-};
-
-constexpr threaded_workload k_threaded_workloads[] = {
-    {"group_remote_by_step", run_group_by_step_threaded},
-    {"rtt_ecdf_remote", run_rtt_ecdf_threaded},
-    {"rtt_band_count", run_rtt_band_count_threaded},
-};
-
-constexpr std::size_t k_thread_counts[] = {1, 2, 4, 8};
-
 // --- result digests (the CI engine-equivalence gate) -------------------------
 
 void write_rows(util::json_writer& w, const serve::catalog& c,
@@ -516,94 +461,12 @@ void print_catalog_query() {
     w.end_object();
   }
 
-  // --- morsel-parallel scan scaling -----------------------------------------
-  // Each scan-heavy shape re-runs under query::threads(n) for n in
-  // {1, 2, 4, 8}; the serial vectorized run above is the speedup
-  // baseline.  The thread-variant entries fold into the same
-  // $OPWAT_BENCH_JSON schema as distinct query names ("shape@tN"), so
-  // bench_summary.py and the CI regression gate pick them up unchanged.
-  util::text_table tt{"Morsel-parallel scan scaling"};
-  tt.header({"query", "threads", "queries/sec", "p50 ms", "p99 ms",
-             "speedup vs serial", "morsels"});
-  for (const auto& wl : k_threaded_workloads) {
-    // Serial vectorized baseline, timed here so the ratio compares
-    // like with like (same calibration policy as the main loop).
-    const auto s0 = std::chrono::steady_clock::now();
-    std::size_t sink = wl.run(cat, ctx, 0, nullptr);
-    const double serial_once_ms = std::max(1e-4, elapsed_ms(s0));
-    const auto serial_iters = static_cast<std::size_t>(
-        std::clamp(100.0 / serial_once_ms, 1.0, 100000.0));
-    const auto s1 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < serial_iters; ++i)
-      sink += wl.run(cat, ctx, 0, nullptr);
-    const double serial_qps = static_cast<double>(serial_iters) /
-                              (std::max(1e-4, elapsed_ms(s1)) / 1e3);
-
-    for (const auto threads : k_thread_counts) {
-      const auto t0 = std::chrono::steady_clock::now();
-      sink += wl.run(cat, ctx, threads, nullptr);
-      const double once_ms = std::max(1e-4, elapsed_ms(t0));
-      const auto iters = static_cast<std::size_t>(
-          std::clamp(100.0 / once_ms, 1.0, 100000.0));
-      const auto t1 = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < iters; ++i)
-        sink += wl.run(cat, ctx, threads, nullptr);
-      const double total_ms = std::max(1e-4, elapsed_ms(t1));
-      const double qps = static_cast<double>(iters) / (total_ms / 1e3);
-
-      const auto batch = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::ceil(0.002 / once_ms)));
-      const auto samples = std::min<std::size_t>(
-          std::max<std::size_t>(iters / batch, 1), 1000);
-      std::vector<double> lat_ms;
-      lat_ms.reserve(samples);
-      for (std::size_t i = 0; i < samples; ++i) {
-        const auto it0 = std::chrono::steady_clock::now();
-        for (std::size_t j = 0; j < batch; ++j)
-          sink += wl.run(cat, ctx, threads, nullptr);
-        lat_ms.push_back(elapsed_ms(it0) / static_cast<double>(batch));
-      }
-      const auto pct = util::summarize(lat_ms);
-      const double speedup = serial_qps > 0.0 ? qps / serial_qps : 0.0;
-
-      serve::exec::stats st;
-      sink += wl.run(cat, ctx, threads, &st);
-      benchmark::DoNotOptimize(sink);
-
-      const std::string name =
-          std::string{wl.name} + "@t" + std::to_string(threads);
-      tt.row({name, std::to_string(threads), util::fmt_double(qps, 1),
-              util::fmt_double(pct.median, 4), util::fmt_double(pct.p99, 4),
-              util::fmt_double(speedup, 2) + "x", std::to_string(st.morsels)});
-      w.begin_object();
-      w.key("query").value(name);
-      w.key("threads").value(static_cast<std::uint64_t>(threads));
-      w.key("iterations").value(static_cast<std::uint64_t>(iters));
-      w.key("total_ms").value(total_ms);
-      w.key("queries_per_sec").value(qps);
-      w.key("p50_ms").value(pct.median);
-      w.key("p99_ms").value(pct.p99);
-      w.key("latency_sample_batch").value(static_cast<std::uint64_t>(batch));
-      w.key("rows_scanned").value(static_cast<std::uint64_t>(st.rows_scanned));
-      w.key("rows_skipped").value(static_cast<std::uint64_t>(st.rows_skipped));
-      w.key("blocks_skipped").value(static_cast<std::uint64_t>(st.blocks_skipped));
-      w.key("morsels").value(static_cast<std::uint64_t>(st.morsels));
-      w.key("serial_queries_per_sec").value(serial_qps);
-      w.key("speedup_vs_serial").value(speedup);
-      w.end_object();
-    }
-  }
   w.end_array();
   w.end_object();
 
   t.footer("speedup = vectorized qps / reference (row-at-a-time) qps; scanned/"
            "skipped = rows touched vs pruned by zone maps + permutation index");
   t.print(std::cout);
-  std::cout << "\n";
-  tt.footer(
-      "speedup = threaded qps / serial vectorized qps (same shape); morsels = "
-      "per-execution morsel count at the default morsel size");
-  tt.print(std::cout);
   std::cout << "\nengine results identical to reference: yes\n";
   std::cout << "\nJSON: " << w.str() << "\n";
 

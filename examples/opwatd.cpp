@@ -22,11 +22,14 @@
 // (restart vs page vs fix the config): 0 clean, 2 usage, 3 the catalog
 // could not be loaded/generated, 4 the listen socket could not be
 // bound.
+#include <charconv>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "opwat/eval/scenario.hpp"
@@ -41,6 +44,9 @@ constexpr int k_exit_usage = 2;
 constexpr int k_exit_load = 3;
 constexpr int k_exit_bind = 4;
 
+/// Upper bound on --workers: each worker is one OS thread.
+constexpr std::uint64_t k_max_workers = 256;
+
 // Written by the signal handlers, polled by the main loop.
 volatile std::sig_atomic_t g_stop = 0;
 volatile std::sig_atomic_t g_reload = 0;
@@ -51,8 +57,8 @@ extern "C" void on_reload(int) { g_reload = 1; }
 void usage(std::ostream& os, const char* argv0) {
   os << "usage: " << argv0
      << " [--load FILE [--recover]] [--gen small|paper] [--save FILE]\n"
-        "       [--addr A] [--port N] [--workers N] [--scan-threads N]\n"
-        "       [--seed N] [--epochs N] [--help]\n"
+        "       [--addr A] [--port N] [--workers N] [--seed N] [--epochs N]\n"
+        "       [--help]\n"
         "\n"
         "  --load FILE    serve the epochs of a .opwatc snapshot\n"
         "  --recover      with --load: salvage a damaged snapshot instead\n"
@@ -62,13 +68,14 @@ void usage(std::ostream& os, const char* argv0) {
         "                 scale small (default) or paper\n"
         "  --save FILE    after --gen, persist the catalog as .opwatc\n"
         "  --addr A       bind address (default 127.0.0.1)\n"
-        "  --port N       bind port (default 9417; 0 = ephemeral)\n"
-        "  --workers N    query worker threads (default 2)\n"
-        "  --scan-threads N  morsel-parallel scan threads per worker\n"
-        "                 (default 0 = serial scans)\n"
+        "  --port N       bind port, 0-65535 (default 9417; 0 = ephemeral)\n"
+        "  --workers N    query worker threads, 1-256 (default 2)\n"
         "  --seed N       --gen scenario seed (default 42)\n"
-        "  --epochs N     --gen epoch count (default 1; consecutive\n"
-        "                 months from 2018-04, distinct seeds)\n"
+        "  --epochs N     --gen epoch count, at least 1 (default 1;\n"
+        "                 consecutive months from 2018-04, distinct seeds)\n"
+        "\n"
+        "N is a whole decimal number; anything else, or a value out of\n"
+        "range, is a usage error (exit 2).\n"
         "  --help         this text\n"
         "\n"
         "signals: SIGINT/SIGTERM drain and exit; SIGHUP reloads --load\n"
@@ -84,6 +91,23 @@ void usage(std::ostream& os, const char* argv0) {
         "\n"
         "exit codes: 0 clean, 2 usage, 3 catalog load/generate failed,\n"
         "4 bind failed\n";
+}
+
+/// Parses a numeric flag value: the whole of `text` must be a decimal
+/// number in [lo, hi].  Anything else (a sign, trailing junk, an empty
+/// string, an out-of-range value) exits with k_exit_usage.
+std::uint64_t parse_number(const char* argv0, std::string_view flag,
+                           std::string_view text, std::uint64_t lo,
+                           std::uint64_t hi) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || v < lo || v > hi) {
+    std::cerr << argv0 << ": " << flag << " wants a whole number in [" << lo
+              << ", " << hi << "], got '" << text << "'\n";
+    std::exit(k_exit_usage);
+  }
+  return v;
 }
 
 /// Month label for --gen --epochs: 2018-04, 2018-05, ... rolling into
@@ -133,15 +157,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--addr") {
       cfg.bind_addr = next();
     } else if (arg == "--port") {
-      cfg.port = static_cast<std::uint16_t>(std::atoi(next()));
+      cfg.port = static_cast<std::uint16_t>(parse_number(
+          argv[0], arg, next(), 0, std::numeric_limits<std::uint16_t>::max()));
     } else if (arg == "--workers") {
-      cfg.workers = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--scan-threads") {
-      cfg.scan_threads = static_cast<std::size_t>(std::atoll(next()));
+      cfg.workers = static_cast<std::size_t>(
+          parse_number(argv[0], arg, next(), 1, k_max_workers));
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = parse_number(argv[0], arg, next(), 0,
+                          std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--epochs") {
-      epochs = static_cast<std::size_t>(std::atoll(next()));
+      epochs = static_cast<std::size_t>(parse_number(
+          argv[0], arg, next(), 1, std::numeric_limits<std::size_t>::max()));
     } else if (arg == "--help" || arg == "-h") {
       usage(std::cout, argv[0]);
       return 0;
@@ -161,10 +187,6 @@ int main(int argc, char** argv) {
   }
   if (gen && gen_scale != "small" && gen_scale != "paper") {
     usage(std::cerr, argv[0]);
-    return k_exit_usage;
-  }
-  if (gen && epochs == 0) {
-    std::cerr << argv[0] << ": --epochs wants at least 1\n";
     return k_exit_usage;
   }
 
@@ -243,8 +265,7 @@ int main(int argc, char** argv) {
   {
     const auto snap = cat.snapshot();
     std::cout << "opwatd serving " << snap->epoch_count() << " epoch(s), "
-              << cfg.workers << " worker(s), " << cfg.scan_threads
-              << " scan thread(s)/worker\n";
+              << cfg.workers << " worker(s)\n";
   }
   std::cout << "opwatd listening on " << cfg.bind_addr << ":" << srv.port()
             << std::endl;  // flushed: readiness line scripts wait for

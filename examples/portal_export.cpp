@@ -116,7 +116,6 @@ int main(int argc, char** argv) {
     if (!save_path.empty()) cat.save(save_path);
 
     eval::portal_options opt;
-    opt.snapshot_label = label;
     if (summary_only) {
       opt.include_interfaces = false;
       opt.include_facilities = false;

@@ -75,11 +75,4 @@ std::string portal_snapshot_json(const serve::catalog& cat, std::string_view epo
   return w.str();
 }
 
-std::string portal_snapshot_json(const scenario& s, const infer::pipeline_result& pr,
-                                 const portal_options& opt) {
-  serve::catalog cat;
-  cat.ingest(s.w, s.view, pr, opt.snapshot_label);
-  return portal_snapshot_json(cat, opt.snapshot_label, opt);
-}
-
 }  // namespace opwat::eval

@@ -6,39 +6,27 @@
 // interface with its inferred class, the evidence step, and the measured
 // minimum RTT.
 //
-// The renderer reads ONLY the serve catalog (opwat/serve/catalog.hpp);
-// the scenario+pipeline overload is a convenience that ingests into a
-// one-epoch catalog first, with byte-identical output.
+// The renderer reads ONLY the serve catalog (opwat/serve/catalog.hpp):
+// ingest a pipeline_result as a labelled epoch first, then render it.
 #pragma once
 
 #include <string>
 #include <string_view>
 
-#include "opwat/eval/scenario.hpp"
-#include "opwat/infer/pipeline.hpp"
 #include "opwat/serve/catalog.hpp"
 
 namespace opwat::eval {
 
 struct portal_options {
-  /// Snapshot label, e.g. "2018-04" (the paper publishes monthly).
-  /// Used as the epoch label by the scenario+pipeline overload; the
-  /// catalog overload always prints the epoch's own label.
-  std::string snapshot_label = "synthetic-0";
   bool include_facilities = true;
   bool include_interfaces = true;
 };
 
-/// Serializes one ingested epoch of the catalog.  Throws
-/// std::invalid_argument for unknown epoch labels.
+/// Serializes one ingested epoch of the catalog; the snapshot carries
+/// the epoch's label (e.g. "2018-04" — the paper publishes monthly).
+/// Throws std::invalid_argument for unknown epoch labels.
 [[nodiscard]] std::string portal_snapshot_json(const serve::catalog& cat,
                                                std::string_view epoch_label,
-                                               const portal_options& opt = {});
-
-/// Convenience: ingest `pr` as epoch `opt.snapshot_label` of a temporary
-/// catalog and serialize it.
-[[nodiscard]] std::string portal_snapshot_json(const scenario& s,
-                                               const infer::pipeline_result& pr,
                                                const portal_options& opt = {});
 
 }  // namespace opwat::eval

@@ -77,8 +77,6 @@ struct server::counters {
   std::atomic<std::uint64_t> cache_hits{0};
   std::atomic<std::uint64_t> cache_misses{0};
   std::atomic<std::uint64_t> http_requests{0};
-  std::atomic<std::uint64_t> parallel_scans{0};
-  std::atomic<std::uint64_t> morsels_executed{0};
 };
 
 struct server::connection {
@@ -163,12 +161,6 @@ void server::start() {
 
   queue_ = std::make_unique<util::bounded_queue<job>>(cfg_.queue_capacity);
   pool_ = std::make_unique<util::thread_pool>(cfg_.workers);
-  if (cfg_.scan_threads > 0) {
-    scan_scheds_.reserve(cfg_.workers);
-    for (std::size_t w = 0; w < cfg_.workers; ++w)
-      scan_scheds_.push_back(
-          std::make_unique<serve::exec::morsel_scheduler>(cfg_.scan_threads));
-  }
 
   if (cache_) {
     cat_.set_publish_hook([this](std::uint64_t) { cache_->clear(); });
@@ -176,7 +168,7 @@ void server::start() {
 
   acceptor_ = std::thread{[this] { acceptor_loop(); }};
   dispatcher_ = std::thread{[this] {
-    pool_->parallel_for(cfg_.workers, [this](std::size_t w) { worker_loop(w); });
+    pool_->parallel_for(cfg_.workers, [this](std::size_t) { worker_loop(); });
   }};
 }
 
@@ -215,8 +207,6 @@ server_stats server::stats() const {
   s.cache_hits = stats_->cache_hits.load(std::memory_order_relaxed);
   s.cache_misses = stats_->cache_misses.load(std::memory_order_relaxed);
   s.http_requests = stats_->http_requests.load(std::memory_order_relaxed);
-  s.parallel_scans = stats_->parallel_scans.load(std::memory_order_relaxed);
-  s.morsels_executed = stats_->morsels_executed.load(std::memory_order_relaxed);
   s.catalog_version = cat_.version();
   const auto h = health();
   s.degraded = h.degraded ? 1 : 0;
@@ -456,8 +446,6 @@ void server::handle_http(const std::shared_ptr<connection>& conn) {
     w.key("cache_hits").value(s.cache_hits);
     w.key("cache_misses").value(s.cache_misses);
     w.key("http_requests").value(s.http_requests);
-    w.key("parallel_scans").value(s.parallel_scans);
-    w.key("morsels_executed").value(s.morsels_executed);
     w.key("catalog_version").value(s.catalog_version);
     w.key("degraded").value(s.degraded);
     w.key("quarantined_epochs").value(s.quarantined_epochs);
@@ -490,7 +478,7 @@ void server::handle_http(const std::shared_ptr<connection>& conn) {
 
 // --- workers -----------------------------------------------------------------
 
-void server::worker_loop(std::size_t w) {
+void server::worker_loop() {
   // Absolute backstop: a worker must never die (an escaped exception
   // would shrink the pool for good and terminate the process at stop()),
   // so the error-response attempt itself may not throw, and in_flight
@@ -506,7 +494,7 @@ void server::worker_loop(std::size_t w) {
   };
   while (auto j = queue_->pop()) {
     try {
-      process(*j, w);
+      process(*j);
     } catch (const std::exception& e) {
       backstop(*j, e.what());
     } catch (...) {
@@ -518,7 +506,7 @@ void server::worker_loop(std::size_t w) {
 // opwat-lint: region(nonblocking): worker request path — workers must drain
 // the admitted backlog even under shutdown, so everything from dequeue to the
 // response write is bounded (send_all carries cfg_.write_timeout_ms).
-void server::process(job& j, std::size_t w) {
+void server::process(job& j) {
   if (cfg_.before_execute) cfg_.before_execute();
 
   // Version BEFORE snapshot: if a publish lands in between, results
@@ -574,7 +562,7 @@ void server::process(job& j, std::size_t w) {
   }
 
   if (!done) {
-    resp = execute(req, *snap, w);
+    resp = execute(req, *snap);
     if (cacheable && resp.status == portal_errc::ok)
       cache_->insert(std::move(key), version, resp);
   }
@@ -584,15 +572,8 @@ void server::process(job& j, std::size_t w) {
   j.conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
 }
 
-response server::execute(const request& req, const serve::catalog& snap,
-                         std::size_t w) const {
+response server::execute(const request& req, const serve::catalog& snap) const {
   response resp;
-  // The worker's private scheduler (null = serial scans).  Injected into
-  // every query this op builds; byte-identical results either way, so
-  // callers cannot observe the difference except through the stats op.
-  serve::exec::morsel_scheduler* sched =
-      scan_scheds_.empty() ? nullptr : scan_scheds_[w].get();
-  serve::exec::stats scan_st;
   try {
     switch (req.op) {
       case op_code::ping:
@@ -600,7 +581,6 @@ response server::execute(const request& req, const serve::catalog& snap,
 
       case op_code::member: {
         serve::query q{snap};
-        q.scheduler(sched).collect_stats(&scan_st);
         q.epoch(req.epoch);
         resp.epoch = req.epoch;
         if (req.ixp_id != k_no_ixp_filter) {
@@ -624,7 +604,6 @@ response server::execute(const request& req, const serve::catalog& snap,
           return error_response(portal_errc::bad_request,
                                 "rtt_band needs lo <= hi, both numbers");
         serve::query q{snap};
-        q.scheduler(sched).collect_stats(&scan_st);
         q.epoch(req.epoch);
         resp.epoch = req.epoch;
         if (req.ixp_id != k_no_ixp_filter) {
@@ -644,7 +623,6 @@ response server::execute(const request& req, const serve::catalog& snap,
 
       case op_code::group_by: {
         serve::query q{snap};
-        q.scheduler(sched).collect_stats(&scan_st);
         q.epoch(req.epoch);
         resp.epoch = req.epoch;
         if (req.ixp_id != k_no_ixp_filter) {
@@ -715,8 +693,6 @@ response server::execute(const request& req, const serve::catalog& snap,
         put("cache_hits", s.cache_hits);
         put("cache_misses", s.cache_misses);
         put("http_requests", s.http_requests);
-        put("parallel_scans", s.parallel_scans);
-        put("morsels_executed", s.morsels_executed);
         put("catalog_version", s.catalog_version);
         put("degraded", s.degraded);
         put("quarantined_epochs", s.quarantined_epochs);
@@ -727,12 +703,6 @@ response server::execute(const request& req, const serve::catalog& snap,
     }
   } catch (const std::invalid_argument& e) {
     return error_response(portal_errc::bad_request, e.what());
-  }
-  // A query that ran at least one morsel went through the parallel path.
-  if (sched != nullptr && scan_st.morsels > 0) {
-    stats_->parallel_scans.fetch_add(1, std::memory_order_relaxed);
-    stats_->morsels_executed.fetch_add(scan_st.morsels,
-                                       std::memory_order_relaxed);
   }
   return resp;
 }

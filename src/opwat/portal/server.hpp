@@ -69,7 +69,6 @@
 
 #include "opwat/net/tcp.hpp"
 #include "opwat/portal/protocol.hpp"
-#include "opwat/serve/exec.hpp"
 #include "opwat/serve/shared_catalog.hpp"
 #include "opwat/util/annotations.hpp"
 #include "opwat/util/bounded_queue.hpp"
@@ -104,13 +103,6 @@ struct server_config {
   /// admission-limit behavior deterministic).  Leave empty in
   /// production.
   std::function<void()> before_execute;
-  /// Scan threads per worker: when > 0, each worker gets a private
-  /// exec::morsel_scheduler with this many threads and runs its scans
-  /// morsel-parallel (results stay byte-identical to serial).  Private
-  /// per worker so independent queries never queue behind each other on
-  /// a shared pool.  0 = serial scans (the default — right for small
-  /// catalogs, where morsel overhead exceeds the win).
-  std::size_t scan_threads = 0;
 };
 
 /// Counter snapshot (stats() and the `stats` op / GET /stats).
@@ -128,11 +120,6 @@ struct server_stats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t http_requests = 0;
-  /// Queries executed with morsel-parallel scans (0 unless
-  /// cfg.scan_threads > 0).
-  std::uint64_t parallel_scans = 0;
-  /// Total morsels those parallel scans executed.
-  std::uint64_t morsels_executed = 0;
   std::uint64_t catalog_version = 0;
   /// Health mirror (set_health): 1 when the served snapshot is not the
   /// full intact store — epochs were quarantined by a recover-mode load,
@@ -201,10 +188,10 @@ class server {
   void admit(const std::shared_ptr<connection>& conn, request req);
   void handle_http(const std::shared_ptr<connection>& conn);
 
-  void worker_loop(std::size_t w);
-  void process(job& j, std::size_t w);
-  [[nodiscard]] response execute(const request& req, const serve::catalog& snap,
-                                 std::size_t w) const;
+  void worker_loop();
+  void process(job& j);
+  [[nodiscard]] response execute(const request& req,
+                                 const serve::catalog& snap) const;
   /// Serializes and writes one response frame (thread-safe per conn).
   void respond(const std::shared_ptr<connection>& conn, const response& r);
 
@@ -222,12 +209,6 @@ class server {
   std::unique_ptr<util::thread_pool> pool_;
   std::thread acceptor_;
   std::thread dispatcher_;  ///< runs pool_->parallel_for over worker loops
-
-  /// One private morsel scheduler per worker when cfg.scan_threads > 0
-  /// (empty otherwise).  Created in start() before the workers launch,
-  /// destroyed after they join — workers index it by their stable id
-  /// without synchronization.
-  std::vector<std::unique_ptr<serve::exec::morsel_scheduler>> scan_scheds_;
 
   /// Live connections; acceptor-thread-only between start and join.
   std::unordered_map<int, std::shared_ptr<connection>> conns_;

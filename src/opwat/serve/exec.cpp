@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <map>
-#include <memory>
-#include <numeric>
-#include <random>
 #include <unordered_map>
 
 #include "opwat/net/ipv4.hpp"
@@ -112,8 +108,8 @@ chunk_result filter_chunk(const epoch& ep, const predicates& p, std::size_t c0,
   return {n, !filled};
 }
 
-/// Matching-row count over [begin, end), chunk at a time — the shared
-/// kernel behind the serial count_block loop and the per-morsel counts.
+/// Matching-row count over [begin, end), chunk at a time — the kernel
+/// behind count_matches' per-block loop.
 std::size_t count_range(const epoch& ep, const predicates& p, std::size_t begin,
                         std::size_t end) {
   std::array<std::uint32_t, k_chunk> buf;  // reused across chunks
@@ -277,11 +273,8 @@ std::size_t count_matches(const epoch& ep, const predicates& p, stats* st) {
 
 namespace {
 
-/// Shard-local group-by state: one dense counter per interned ref for
-/// the dictionary dimensions, a hash only for raw ASN values.  Partials
-/// merge by addition (worker order is irrelevant), so the fused
-/// parallel scan and the serial group_over share accumulate + emit and
-/// can never drift apart.
+/// Group-by state: one dense counter per interned ref for the
+/// dictionary dimensions, a hash only for raw ASN values.
 struct group_acc {
   std::vector<std::size_t> dense;
   std::unordered_map<std::uint32_t, std::size_t> hash;
@@ -339,44 +332,8 @@ void accumulate_sel(group_acc& a, const epoch& ep, group_dim dim,
   }
 }
 
-/// Accumulates the whole row range [c0, c1) (an all-matching chunk).
-void accumulate_range(group_acc& a, const epoch& ep, group_dim dim,
-                      std::size_t c0, std::size_t c1) {
-  switch (dim) {
-    case group_dim::ixp: {
-      const auto* col = ep.ixp_col().data();
-      for (std::size_t i = c0; i < c1; ++i) ++a.dense[col[i]];
-      break;
-    }
-    case group_dim::asn: {
-      const auto* col = ep.asn_col().data();
-      for (std::size_t i = c0; i < c1; ++i) ++a.hash[col[i]];
-      break;
-    }
-    case group_dim::metro: {
-      const auto unmapped = a.dense.size() - 1;
-      const auto* col = ep.metro_col().data();
-      for (std::size_t i = c0; i < c1; ++i) {
-        const auto m = col[i];
-        ++a.dense[m == k_no_metro ? unmapped : m];
-      }
-      break;
-    }
-    case group_dim::cls: {
-      const auto* col = ep.cls_col().data();
-      for (std::size_t i = c0; i < c1; ++i) ++a.dense[col[i]];
-      break;
-    }
-    case group_dim::step: {
-      const auto* col = ep.step_col().data();
-      for (std::size_t i = c0; i < c1; ++i) ++a.dense[col[i]];
-      break;
-    }
-  }
-}
-
 /// Materializes display keys for the non-empty buckets and merges key
-/// collisions — the output-shaping half every engine shares.
+/// collisions — the output-shaping half of group_over.
 std::vector<group_count> emit_groups(const catalog& cat, const group_acc& acc,
                                      group_dim dim) {
   std::vector<group_count> out;
@@ -473,177 +430,6 @@ void sort_selection_by_rtt(const epoch& ep, sel_vector& sel, bool ascending,
     }
   }
   std::sort(sel.begin(), sel.end(), cmp);
-}
-
-// --- morsel-parallel scans ---------------------------------------------------
-
-morsel_scheduler::morsel_scheduler(std::size_t threads)
-    : pool_(threads == 0 ? 1 : threads) {}
-
-morsel_scheduler& morsel_scheduler::shared(std::size_t threads) {
-  struct registry {
-    util::annotated_mutex m;
-    std::map<std::size_t, std::unique_ptr<morsel_scheduler>> by_threads
-        OPWAT_GUARDED_BY(m);
-  };
-  static registry reg;
-  if (threads == 0) threads = 1;
-  const util::mutex_lock lock{reg.m};
-  auto& slot = reg.by_threads[threads];
-  if (!slot) slot = std::make_unique<morsel_scheduler>(threads);
-  return *slot;
-}
-
-void morsel_scheduler::run(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
-  // One scan at a time: the pool has a single job slot, so concurrent
-  // scans on a shared scheduler queue here instead of corrupting it.
-  const util::mutex_lock lock{m_};
-  pool_.parallel_for_indexed(n, body);
-}
-
-namespace {
-
-/// One contiguous row range of a surviving (not zone-pruned) block.
-struct morsel {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-/// Zone-map pruning happens at plan time — exactly the blocks the
-/// serial engine skips — so the scan/skip accounting stays identical to
-/// serial regardless of the thread count.
-std::vector<morsel> plan_morsels(const epoch& ep, const predicates& p,
-                                 std::size_t morsel_rows, stats* st) {
-  const auto step = morsel_rows == 0 ? std::size_t{1} : morsel_rows;
-  std::vector<morsel> out;
-  const auto add_block = [&](const epoch::block& b) {
-    if (zone_skip(b, p)) {
-      if (st) ++st->blocks_skipped;
-      return;
-    }
-    for (std::size_t c0 = b.begin; c0 < b.end; c0 += step)
-      out.push_back({c0, std::min(b.end, c0 + step)});
-  };
-  if (p.has_ixp) {
-    if (const auto* b = ep.block_of(p.ixp)) add_block(*b);
-  } else {
-    for (const auto& b : ep.blocks()) add_block(b);
-  }
-  return out;
-}
-
-/// Ticket -> morsel mapping.  Canonical (identity) by default; a
-/// nonzero seed yields a deterministic shuffle, which the parity tests
-/// use to prove the merge does not depend on processing order.
-std::vector<std::size_t> processing_order(std::size_t n, std::uint64_t seed) {
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  if (seed != 0) {
-    std::mt19937_64 rng{seed};
-    std::shuffle(order.begin(), order.end(), rng);
-  }
-  return order;
-}
-
-std::size_t planned_rows(const std::vector<morsel>& morsels) {
-  std::size_t n = 0;
-  for (const auto& m : morsels) n += m.end - m.begin;
-  return n;
-}
-
-void account(stats* st, const epoch& ep, const std::vector<morsel>& morsels) {
-  if (!st) return;
-  const auto scanned = planned_rows(morsels);
-  st->rows_scanned += scanned;
-  st->rows_skipped += ep.rows() - scanned;
-  st->morsels += morsels.size();
-}
-
-}  // namespace
-
-sel_vector collect_parallel(const epoch& ep, const predicates& p,
-                            const parallel_spec& ps, stats* st) {
-  if (ps.sched == nullptr || p.has_asn) return collect(ep, p, k_no_cap, st);
-  sel_vector sel;
-  if (ep.rows() == 0) return sel;
-  const auto morsels = plan_morsels(ep, p, ps.morsel_rows, st);
-  std::vector<sel_vector> slots(morsels.size());
-  const auto order = processing_order(morsels.size(), ps.shuffle_seed);
-  ps.sched->run(morsels.size(), [&](std::size_t, std::size_t t) {
-    const auto& m = morsels[order[t]];
-    scan_range(ep, m.begin, m.end, p, slots[order[t]]);
-  });
-  std::size_t total = 0;
-  for (const auto& s : slots) total += s.size();
-  sel.reserve(total);
-  // Merge in canonical morsel order: each slot holds its morsel's
-  // matches ascending, and morsels tile the blocks in canonical order,
-  // so the concatenation is byte-identical to the serial collect.
-  for (const auto& s : slots) sel.insert(sel.end(), s.begin(), s.end());
-  account(st, ep, morsels);
-  return sel;
-}
-
-std::size_t count_matches_parallel(const epoch& ep, const predicates& p,
-                                   const parallel_spec& ps, stats* st) {
-  if (ps.sched == nullptr || p.has_asn) return count_matches(ep, p, st);
-  if (ep.rows() == 0) return 0;
-  const auto morsels = plan_morsels(ep, p, ps.morsel_rows, st);
-  std::vector<std::size_t> counts(morsels.size(), 0);
-  const auto order = processing_order(morsels.size(), ps.shuffle_seed);
-  ps.sched->run(morsels.size(), [&](std::size_t, std::size_t t) {
-    const auto& m = morsels[order[t]];
-    counts[order[t]] = count_range(ep, p, m.begin, m.end);
-  });
-  std::size_t n = 0;
-  for (const auto c : counts) n += c;
-  account(st, ep, morsels);
-  return n;
-}
-
-std::vector<group_count> group_over_parallel(const catalog& cat, const epoch& ep,
-                                             const predicates& p,
-                                             const parallel_spec& ps,
-                                             group_dim dim, stats* st) {
-  if (ps.sched == nullptr || p.has_asn) {
-    const auto sel = collect(ep, p, k_no_cap, st);
-    return group_over(cat, ep, sel, dim);
-  }
-  auto merged = make_acc(cat, dim);
-  if (ep.rows() == 0) return emit_groups(cat, merged, dim);
-  const auto morsels = plan_morsels(ep, p, ps.morsel_rows, st);
-  std::vector<group_acc> accs(ps.sched->threads());
-  for (auto& a : accs) a = make_acc(cat, dim);
-  const auto order = processing_order(morsels.size(), ps.shuffle_seed);
-  // Fused scan + group: no selection vector is materialized — each
-  // worker folds its morsels' matches straight into its private
-  // accumulator.
-  ps.sched->run(morsels.size(), [&](std::size_t worker, std::size_t t) {
-    const auto& m = morsels[order[t]];
-    std::array<std::uint32_t, k_chunk> buf;
-    auto& a = accs[worker];
-    for (std::size_t c0 = m.begin; c0 < m.end; c0 += k_chunk) {
-      const std::size_t c1 = std::min(m.end, c0 + k_chunk);
-      const auto r = filter_chunk(ep, p, c0, c1, buf.data());
-      if (r.whole) {
-        accumulate_range(a, ep, dim, c0, c1);
-      } else {
-        accumulate_sel(a, ep, dim, buf.data(), r.n);
-      }
-    }
-  });
-  // Partials merge by addition, so worker order cannot matter;
-  // emit_groups then sorts buckets by key exactly like the serial path.
-  for (const auto& a : accs) {
-    for (std::size_t r = 0; r < merged.dense.size(); ++r)
-      merged.dense[r] += a.dense[r];
-    // opwat-lint: allow(unordered-iter): addition is order-independent and
-    // emit_groups sorts every bucket by key before returning
-    for (const auto& [v, n] : a.hash) merged.hash[v] += n;
-  }
-  account(st, ep, morsels);
-  return emit_groups(cat, merged, dim);
 }
 
 }  // namespace opwat::serve::exec

@@ -29,27 +29,15 @@
 // row-at-a-time reference evaluator retained in query.cpp
 // (exec::mode::reference); tests/test_exec.cpp pins the equivalence
 // across randomized filter x group-by x sort x pagination specs.
-//
-// Morsel parallelism (the PR 2 shard recipe, applied to reads): a scan
-// over the surviving blocks is split into fixed-size row-range morsels
-// handed to a `morsel_scheduler`'s thread pool.  Each worker evaluates
-// the same predicate kernels over its morsels into shard-local state
-// (a per-morsel selection slot, a per-morsel count, or a per-worker
-// group accumulator), and the shards are merged in canonical morsel
-// order — so the result is byte-identical to the serial engine for any
-// thread count and any morsel processing order.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "opwat/serve/catalog.hpp"
-#include "opwat/util/annotations.hpp"
-#include "opwat/util/thread_pool.hpp"
 
 namespace opwat::serve {
 
@@ -80,8 +68,6 @@ struct stats {
   std::size_t rows_skipped = 0;
   /// Whole blocks pruned by zone maps specifically.
   std::size_t blocks_skipped = 0;
-  /// Morsels executed by parallel scans (0 for serial executions).
-  std::size_t morsels = 0;
 };
 
 /// Decoded filter set — plain flags and values, no optionals on the
@@ -150,80 +136,6 @@ enum class group_dim : std::uint8_t { ixp, asn, metro, cls, step };
 /// cannot appear in the page before anything is sorted.
 void sort_selection_by_rtt(const epoch& ep, sel_vector& sel, bool ascending,
                            std::size_t offset, std::optional<std::size_t> limit);
-
-// --- morsel-parallel scans ---------------------------------------------------
-
-/// Owns the worker pool parallel scans run on.  One scheduler executes
-/// one scan at a time (the pool has a single job slot); concurrent
-/// callers serialize on the internal mutex, so a scheduler can be
-/// shared — but the portal gives each of its workers a private one to
-/// keep independent queries from queueing behind each other.
-class morsel_scheduler {
- public:
-  /// Starts `threads` workers (>= 1; 0 is clamped to 1).
-  explicit morsel_scheduler(std::size_t threads);
-
-  morsel_scheduler(const morsel_scheduler&) = delete;
-  morsel_scheduler& operator=(const morsel_scheduler&) = delete;
-
-  [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
-
-  /// Process-wide scheduler per thread count, created on first use —
-  /// what query::threads(n) resolves to, so ad-hoc callers do not spawn
-  /// a pool per query.
-  [[nodiscard]] static morsel_scheduler& shared(std::size_t threads);
-
-  /// Runs body(worker, idx) for idx in [0, n) on the pool; `worker` is
-  /// the stable id of the executing worker in [0, threads()).  Blocks
-  /// until done; serializes whole scans against other callers.
-  void run(std::size_t n,
-           const std::function<void(std::size_t, std::size_t)>& body)
-      OPWAT_EXCLUDES(m_);
-
- private:
-  util::thread_pool pool_;
-  util::annotated_mutex m_;
-};
-
-/// Default rows per morsel: big enough that scheduling overhead
-/// disappears, small enough that a paper-scale epoch still splits into
-/// an order of magnitude more morsels than workers.
-inline constexpr std::size_t k_default_morsel_rows = 32768;
-
-/// How to parallelize one scan.  A null scheduler means serial; the
-/// shuffle seed (tests only) processes morsels in a deterministic
-/// shuffled order to prove the merge is order-independent — results
-/// are byte-identical either way, because shards merge in canonical
-/// morsel order regardless of processing order.
-struct parallel_spec {
-  morsel_scheduler* sched = nullptr;
-  std::size_t morsel_rows = k_default_morsel_rows;
-  std::uint64_t shuffle_seed = 0;  ///< 0 = canonical processing order
-};
-
-/// collect(ep, p, k_no_cap) on the scheduler: zone-map pruning at plan
-/// time, per-morsel selection slots concatenated in canonical order —
-/// byte-identical to the serial collect.  member() point lookups
-/// (p.has_asn) fall back to the serial permutation-index path, which is
-/// already sub-linear.
-[[nodiscard]] sel_vector collect_parallel(const epoch& ep, const predicates& p,
-                                          const parallel_spec& ps,
-                                          stats* st = nullptr);
-
-/// count_matches on the scheduler: per-morsel counts summed in
-/// canonical order.
-[[nodiscard]] std::size_t count_matches_parallel(const epoch& ep,
-                                                 const predicates& p,
-                                                 const parallel_spec& ps,
-                                                 stats* st = nullptr);
-
-/// Fused scan + group-by on the scheduler: each worker accumulates its
-/// morsels' matches into a private accumulator; the per-worker partials
-/// merge by addition and emit through the same path as the serial
-/// group_over, so the buckets are byte-identical.
-[[nodiscard]] std::vector<group_count> group_over_parallel(
-    const catalog& cat, const epoch& ep, const predicates& p,
-    const parallel_spec& ps, group_dim dim, stats* st = nullptr);
 
 }  // namespace exec
 

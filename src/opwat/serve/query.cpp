@@ -95,26 +95,6 @@ query& query::collect_stats(exec::stats* st) {
   return *this;
 }
 
-query& query::threads(std::size_t n) {
-  threads_ = n;
-  return *this;
-}
-
-query& query::scheduler(exec::morsel_scheduler* s) {
-  sched_ = s;
-  return *this;
-}
-
-query& query::morsel_rows(std::size_t n) {
-  morsel_rows_ = n;
-  return *this;
-}
-
-query& query::shuffle_morsels(std::uint64_t seed) {
-  shuffle_seed_ = seed;
-  return *this;
-}
-
 // --- shared execution helpers ------------------------------------------------
 
 namespace {
@@ -166,18 +146,6 @@ const serve::epoch& query::resolve_epoch() const {
   if (epoch_label_) return cat_->of(*epoch_label_);
   if (cat_->epoch_count() == 0) throw std::logic_error("query: catalog has no epochs");
   return cat_->at(static_cast<epoch_id>(cat_->epoch_count() - 1));
-}
-
-exec::parallel_spec query::parallel_plan() const {
-  exec::parallel_spec ps;
-  if (sched_ != nullptr) {
-    ps.sched = sched_;
-  } else if (threads_ > 0) {
-    ps.sched = &exec::morsel_scheduler::shared(threads_);
-  }
-  ps.morsel_rows = morsel_rows_;
-  ps.shuffle_seed = shuffle_seed_;
-  return ps;
 }
 
 exec::predicates query::predicates() const {
@@ -321,8 +289,6 @@ std::size_t query::count() const {
     return ep.rows();
   }
 
-  if (const auto ps = parallel_plan(); ps.sched != nullptr)
-    return exec::count_matches_parallel(ep, predicates(), ps, stats_);
   return exec::count_matches(ep, predicates(), stats_);
 }
 
@@ -344,14 +310,9 @@ std::vector<iface_row> query::rows() const {
 
   // Without an RTT sort the result is a canonical-order prefix window,
   // so collection short-circuits once offset + limit matches are found.
-  // That early exit is inherently sequential, so capped collections
-  // keep the serial path; uncapped ones fan out over morsels.
   const auto cap =
       !sort_rtt_ && limit_ ? offset_ + *limit_ : exec::k_no_cap;
-  const auto ps = parallel_plan();
-  auto sel = cap == exec::k_no_cap && ps.sched != nullptr
-                 ? exec::collect_parallel(ep, predicates(), ps, stats_)
-                 : exec::collect(ep, predicates(), cap, stats_);
+  auto sel = exec::collect(ep, predicates(), cap, stats_);
   if (sort_rtt_) exec::sort_selection_by_rtt(ep, sel, sort_asc_, offset_, limit_);
   window(sel);
   return out;
@@ -377,10 +338,6 @@ std::vector<group_count> query::group_counts() const {
     }
     return exec::group_dim::step;
   }();
-  if (const auto ps = parallel_plan(); ps.sched != nullptr)
-    return finalize_groups(
-        exec::group_over_parallel(*cat_, ep, predicates(), ps, dim, stats_),
-        offset_, limit_);
   const auto sel = exec::collect(ep, predicates(), exec::k_no_cap, stats_);
   return finalize_groups(exec::group_over(*cat_, ep, sel, dim), offset_, limit_);
 }
@@ -395,10 +352,7 @@ std::vector<ecdf_point> query::rtt_ecdf(std::size_t buckets) const {
       if (!std::isnan(r)) rtts.push_back(r);
     });
   } else {
-    const auto ps = parallel_plan();
-    const auto sel = ps.sched != nullptr
-                         ? exec::collect_parallel(ep, predicates(), ps, stats_)
-                         : exec::collect(ep, predicates(), exec::k_no_cap, stats_);
+    const auto sel = exec::collect(ep, predicates(), exec::k_no_cap, stats_);
     const auto* rtt = ep.rtt_col().data();
     rtts.reserve(sel.size());
     for (const auto i : sel)

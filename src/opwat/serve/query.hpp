@@ -96,23 +96,6 @@ class query {
   /// result is byte-identical, it is just slower; tests and the CI
   /// bench gate diff the two.
   query& engine(exec::mode m);
-  /// Runs scans morsel-parallel on n worker threads (0 = serial, the
-  /// default).  Results are byte-identical to the serial engine for any
-  /// n — shards merge in canonical morsel order.  Uses the process-wide
-  /// exec::morsel_scheduler::shared(n) pool unless scheduler() injects
-  /// one.  Vectorized engine only; capped row collections and member()
-  /// point lookups keep their serial fast paths.
-  query& threads(std::size_t n);
-  /// Runs parallel scans on an explicitly owned scheduler (the portal
-  /// gives each of its workers a private one).  nullptr reverts to the
-  /// threads() behavior.
-  query& scheduler(exec::morsel_scheduler* s);
-  /// Rows per morsel (tests shrink this to force many morsels; default
-  /// exec::k_default_morsel_rows).
-  query& morsel_rows(std::size_t n);
-  /// Processes morsels in a deterministically shuffled order (tests
-  /// only — proves the merge is order-independent; 0 = canonical).
-  query& shuffle_morsels(std::uint64_t seed);
   /// Accumulates scan accounting (rows scanned / skipped, blocks
   /// skipped) of subsequent executions into *st.  Vectorized engine
   /// only; pass nullptr to stop collecting.
@@ -133,8 +116,6 @@ class query {
 
   [[nodiscard]] const serve::epoch& resolve_epoch() const;
   [[nodiscard]] exec::predicates predicates() const;
-  /// The parallel execution plan (null scheduler = serial).
-  [[nodiscard]] exec::parallel_spec parallel_plan() const;
   // Retained row-at-a-time reference evaluator (exec::mode::reference).
   [[nodiscard]] bool matches(const serve::epoch& ep, std::size_t i) const;
   /// Row indices of the selection, in canonical / sorted order.
@@ -158,10 +139,6 @@ class query {
   std::optional<std::size_t> limit_;
   exec::mode mode_ = exec::mode::vectorized;
   exec::stats* stats_ = nullptr;
-  std::size_t threads_ = 0;  ///< 0 = serial
-  exec::morsel_scheduler* sched_ = nullptr;
-  std::size_t morsel_rows_ = exec::k_default_morsel_rows;
-  std::uint64_t shuffle_seed_ = 0;
 };
 
 /// An interface whose class changed between two epochs.

@@ -10,10 +10,8 @@
 //     hold the pointer, with no torn state ever — a snapshot either
 //     contains an epoch completely or not at all.  Acquiring the
 //     snapshot is one brief shared-lock pointer copy; every query after
-//     that runs on the immutable snapshot with no locks at all.
-//     Immutability also makes morsel-parallel scans (query::threads(n))
-//     safe: every scan worker reads the same frozen columns, so the
-//     parallel kernels need no synchronization beyond the merge.
+//     that runs on the immutable snapshot with no locks at all, so
+//     any number of threads can scan the same snapshot concurrently.
 //   - The writer (ingest / merge_from / load / clear) copies the
 //     current catalog, mutates the private copy OUTSIDE any lock
 //     readers touch, and publishes it by swapping the shared pointer

@@ -8,7 +8,7 @@ thread_pool::thread_pool(std::size_t threads) {
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 thread_pool::~thread_pool() {
@@ -20,14 +20,13 @@ thread_pool::~thread_pool() {
   for (auto& w : workers_) w.join();
 }
 
-void thread_pool::worker_loop(std::size_t worker) {
+void thread_pool::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
     // Copy the job out under the lock; the epoch protocol guarantees
     // the caller cannot republish body_/n_ until every worker has
     // checked back in below, so the copies stay valid for the drain.
     const std::function<void(std::size_t)>* body = nullptr;
-    const std::function<void(std::size_t, std::size_t)>* indexed_body = nullptr;
     std::size_t n = 0;
     {
       mutex_lock lock{m_};
@@ -35,7 +34,6 @@ void thread_pool::worker_loop(std::size_t worker) {
       if (stop_) return;
       seen = epoch_;
       body = body_;
-      indexed_body = indexed_body_;
       n = n_;
     }
     // Drain the ticket counter.  Every worker runs until no indices are
@@ -46,10 +44,7 @@ void thread_pool::worker_loop(std::size_t worker) {
       const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) break;
       try {
-        if (indexed_body)
-          (*indexed_body)(worker, i);
-        else
-          (*body)(i);
+        (*body)(i);
       } catch (...) {
         const mutex_lock lock{m_};
         if (!error_) error_ = std::current_exception();
@@ -69,7 +64,6 @@ void thread_pool::parallel_for(std::size_t n,
   {
     const mutex_lock lock{m_};
     body_ = &body;
-    indexed_body_ = nullptr;
     n_ = n;
     next_.store(0, std::memory_order_relaxed);
     workers_done_ = 0;
@@ -83,31 +77,6 @@ void thread_pool::parallel_for(std::size_t n,
     mutex_lock lock{m_};
     while (workers_done_ != workers_.size()) done_cv_.wait(lock);
     body_ = nullptr;
-    err = error_;
-  }
-  if (err) std::rethrow_exception(err);
-}
-
-void thread_pool::parallel_for_indexed(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  {
-    const mutex_lock lock{m_};
-    body_ = nullptr;
-    indexed_body_ = &body;
-    n_ = n;
-    next_.store(0, std::memory_order_relaxed);
-    workers_done_ = 0;
-    error_ = nullptr;
-    ++epoch_;
-  }
-  start_cv_.notify_all();
-
-  std::exception_ptr err;
-  {
-    mutex_lock lock{m_};
-    while (workers_done_ != workers_.size()) done_cv_.wait(lock);
-    indexed_body_ = nullptr;
     err = error_;
   }
   if (err) std::rethrow_exception(err);

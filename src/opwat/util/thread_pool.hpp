@@ -51,18 +51,8 @@ class thread_pool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body)
       OPWAT_EXCLUDES(m_);
 
-  /// Like parallel_for, but body(worker, i) also receives the stable id of
-  /// the worker thread running it (in [0, size())).  Workers keep their id
-  /// for the whole drain, so shard-local state indexed by `worker` is never
-  /// written concurrently.  A distinct name, not an overload: both shapes
-  /// would otherwise be viable implicit conversions for a generic lambda.
-  void parallel_for_indexed(
-      std::size_t n,
-      const std::function<void(std::size_t, std::size_t)>& body)
-      OPWAT_EXCLUDES(m_);
-
  private:
-  void worker_loop(std::size_t worker);
+  void worker_loop();
 
   std::vector<std::thread> workers_;
 
@@ -75,8 +65,6 @@ class thread_pool {
   // holding the lock), indices then claimed lock-free via next_.
   std::uint64_t epoch_ OPWAT_GUARDED_BY(m_) = 0;  ///< bumped per parallel_for
   const std::function<void(std::size_t)>* body_ OPWAT_GUARDED_BY(m_) = nullptr;
-  const std::function<void(std::size_t, std::size_t)>* indexed_body_
-      OPWAT_GUARDED_BY(m_) = nullptr;
   std::size_t n_ OPWAT_GUARDED_BY(m_) = 0;
   std::atomic<std::size_t> next_{0};
   std::size_t workers_done_ OPWAT_GUARDED_BY(m_) = 0;

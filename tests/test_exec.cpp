@@ -211,33 +211,6 @@ void expect_spec_equivalent(const serve::catalog& ref_cat, const serve::catalog&
   expect_ecdf_eq(ref.rtt_ecdf(5), vec.rtt_ecdf(5), ctx);
 }
 
-/// Runs one spec morsel-parallel and expects byte-identity with BOTH
-/// the serial vectorized engine and the reference evaluator.  Morsels
-/// are forced tiny (64 rows) so even the small test epochs split into
-/// dozens of shards, and a nonzero shuffle seed processes them out of
-/// canonical order — the merge must restore it exactly.
-void expect_spec_parallel_identical(const serve::catalog& cat, const query_spec& sp,
-                                    std::size_t threads,
-                                    std::uint64_t shuffle_seed) {
-  const auto ctx = sp.describe() + " threads=" + std::to_string(threads) +
-                   " shuffle=" + std::to_string(shuffle_seed);
-  auto ref = build_query(cat, sp, serve::exec::mode::reference);
-  auto ser = build_query(cat, sp, serve::exec::mode::vectorized);
-  auto par = build_query(cat, sp, serve::exec::mode::vectorized);
-  par.threads(threads).morsel_rows(64).shuffle_morsels(shuffle_seed);
-
-  const auto n = par.count();
-  EXPECT_EQ(ser.count(), n) << ctx;
-  EXPECT_EQ(ref.count(), n) << ctx;
-  expect_rows_eq(cat, ser.rows(), cat, par.rows(), ctx);
-  expect_rows_eq(cat, ref.rows(), cat, par.rows(), ctx);
-  if (sp.group >= 0) {
-    expect_groups_eq(ser.group_counts(), par.group_counts(), ctx);
-    expect_groups_eq(ref.group_counts(), par.group_counts(), ctx);
-  }
-  expect_ecdf_eq(ser.rtt_ecdf(5), par.rtt_ecdf(5), ctx);
-}
-
 // ---------------------------------------------------------------------------
 // Zone-map / permutation-index structural invariants, recomputed
 // linearly from the columns.
@@ -403,90 +376,6 @@ TEST_F(ExecTest, RandomizedSpecsMatchReferenceOnSecondScale) {
     expect_spec_equivalent(cat, cat, sp);
     if (::testing::Test::HasFailure()) FAIL() << "spec " << c << ": " << sp.describe();
   }
-}
-
-// Re-runs the full randomized suite morsel-parallel: every spec under
-// threads {1, 2, 8} with a shuffled morsel processing order, pinned
-// byte-identical to the serial vectorized engine AND the reference
-// evaluator.  Rides the TSan ctest lane like every other test here, so
-// the shard merge is also proven race-free.
-TEST_F(ExecTest, RandomizedSpecsByteIdenticalUnderMorselParallelism) {
-  std::mt19937 rng{20180427};
-  std::uint64_t shuffle = 0;
-  for (int c = 0; c < 400; ++c) {
-    const auto sp = random_spec(rng, *cat_);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      expect_spec_parallel_identical(*cat_, sp, threads, ++shuffle);
-      if (::testing::Test::HasFailure())
-        FAIL() << "spec " << c << " threads=" << threads << ": " << sp.describe();
-    }
-  }
-}
-
-TEST_F(ExecTest, MorselParallelismOnSecondScale) {
-  auto cfg = eval::small_scenario_config(17);
-  cfg.top_n_ixps = 4;
-  const auto s = eval::scenario::build(cfg);
-  serve::catalog cat;
-  cat.ingest(s.w, s.view, s.run_inference(), "A");
-  auto pcfg = s.cfg.pipeline;
-  pcfg.seed += 3;
-  cat.ingest(s.w, s.view, s.run_inference(pcfg), "B");
-  std::mt19937 rng{7};
-  std::uint64_t shuffle = 1000;
-  for (int c = 0; c < 120; ++c) {
-    const auto sp = random_spec(rng, cat);
-    for (const std::size_t threads : {2u, 8u}) {
-      expect_spec_parallel_identical(cat, sp, threads, ++shuffle);
-      if (::testing::Test::HasFailure())
-        FAIL() << "spec " << c << " threads=" << threads << ": " << sp.describe();
-    }
-  }
-}
-
-TEST_F(ExecTest, ParallelScanStatsAccountForEveryRow) {
-  const auto& ep = cat_->of("A");
-
-  // The parallel accounting invariant matches the serial one — zone
-  // pruning happens at plan time with identical block decisions — and
-  // the morsel counter is the only new field.
-  serve::exec::stats st;
-  (void)serve::query{*cat_}
-      .epoch("A")
-      .cls(peering_class::remote)
-      .rtt_between(0.0, 1.0)
-      .threads(2)
-      .morsel_rows(64)
-      .collect_stats(&st)
-      .count();
-  EXPECT_EQ(st.rows_scanned + st.rows_skipped, ep.rows());
-  EXPECT_GT(st.morsels, 0u);
-
-  serve::exec::stats ser;
-  (void)serve::query{*cat_}
-      .epoch("A")
-      .cls(peering_class::remote)
-      .rtt_between(0.0, 1.0)
-      .collect_stats(&ser)
-      .count();
-  EXPECT_EQ(ser.rows_scanned, st.rows_scanned);
-  EXPECT_EQ(ser.rows_skipped, st.rows_skipped);
-  EXPECT_EQ(ser.blocks_skipped, st.blocks_skipped);
-  EXPECT_EQ(ser.morsels, 0u);
-
-  // A provably-empty RTT band prunes every block at plan time: zero
-  // morsels run, and the accounting still covers the epoch.
-  serve::exec::stats est;
-  (void)serve::query{*cat_}
-      .epoch("A")
-      .rtt_between(-5.0, -1.0)
-      .threads(8)
-      .collect_stats(&est)
-      .count();
-  EXPECT_EQ(est.rows_scanned, 0u);
-  EXPECT_EQ(est.rows_skipped, ep.rows());
-  EXPECT_EQ(est.blocks_skipped, ep.blocks().size());
-  EXPECT_EQ(est.morsels, 0u);
 }
 
 TEST_F(ExecTest, AbsentIxpYieldsEmptyOnBothEngines) {

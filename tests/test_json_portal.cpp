@@ -3,8 +3,12 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "opwat/eval/portal.hpp"
+#include "opwat/eval/scenario.hpp"
+#include "opwat/infer/pipeline.hpp"
+#include "opwat/serve/catalog.hpp"
 #include "opwat/util/json.hpp"
 
 namespace {
@@ -145,20 +149,29 @@ class PortalTest : public ::testing::Test {
   static void SetUpTestSuite() {
     s_ = new eval::scenario{eval::scenario::build(eval::small_scenario_config(55))};
     pr_ = new infer::pipeline_result{s_->run_inference()};
+    cat_ = new serve::catalog;
+    cat_->ingest(s_->w, s_->view, *pr_, "t-1");
   }
   static void TearDownTestSuite() {
+    delete cat_;
     delete pr_;
     delete s_;
   }
+  /// The portal snapshot of the suite's one epoch.
+  static std::string snapshot(const eval::portal_options& opt = {}) {
+    return eval::portal_snapshot_json(*cat_, "t-1", opt);
+  }
   static eval::scenario* s_;
   static infer::pipeline_result* pr_;
+  static serve::catalog* cat_;
 };
 
 eval::scenario* PortalTest::s_ = nullptr;
 infer::pipeline_result* PortalTest::pr_ = nullptr;
+serve::catalog* PortalTest::cat_ = nullptr;
 
 TEST_F(PortalTest, SnapshotContainsEveryScopedIxp) {
-  const auto doc = eval::portal_snapshot_json(*s_, *pr_, {.snapshot_label = "t-1"});
+  const auto doc = snapshot();
   EXPECT_NE(doc.find(R"("snapshot":"t-1")"), std::string::npos);
   for (const auto x : pr_->scope)
     EXPECT_NE(doc.find("\"" + s_->w.ixps[x].name + "\""), std::string::npos)
@@ -166,7 +179,7 @@ TEST_F(PortalTest, SnapshotContainsEveryScopedIxp) {
 }
 
 TEST_F(PortalTest, TotalsMatchInferenceMap) {
-  const auto doc = eval::portal_snapshot_json(*s_, *pr_);
+  const auto doc = snapshot();
   const auto expect_count = [&](const char* key, std::size_t n) {
     const std::string needle = std::string{"\""} + key + "\":" + std::to_string(n);
     EXPECT_NE(doc.find(needle), std::string::npos) << needle;
@@ -176,7 +189,7 @@ TEST_F(PortalTest, TotalsMatchInferenceMap) {
 }
 
 TEST_F(PortalTest, InterfacesCarryClassAndEvidence) {
-  const auto doc = eval::portal_snapshot_json(*s_, *pr_);
+  const auto doc = snapshot();
   EXPECT_NE(doc.find(R"("class":"local")"), std::string::npos);
   EXPECT_NE(doc.find(R"("class":"remote")"), std::string::npos);
   EXPECT_NE(doc.find(R"("evidence":)"), std::string::npos);
@@ -187,13 +200,13 @@ TEST_F(PortalTest, OptionsTrimSections) {
   eval::portal_options opt;
   opt.include_interfaces = false;
   opt.include_facilities = false;
-  const auto doc = eval::portal_snapshot_json(*s_, *pr_, opt);
+  const auto doc = snapshot(opt);
   EXPECT_EQ(doc.find(R"("members":)"), std::string::npos);
   EXPECT_EQ(doc.find(R"("facilities":)"), std::string::npos);
 }
 
 TEST_F(PortalTest, GeographicFootprintIncluded) {
-  const auto doc = eval::portal_snapshot_json(*s_, *pr_);
+  const auto doc = snapshot();
   EXPECT_NE(doc.find(R"("lat":)"), std::string::npos);
   EXPECT_NE(doc.find(R"("lon":)"), std::string::npos);
 }

@@ -35,7 +35,6 @@
 #include <filesystem>
 #include <mutex>
 #include <string>
-#include <map>
 #include <thread>
 #include <vector>
 
@@ -434,106 +433,6 @@ TEST_F(PortalTest, ServedResultsMatchDirectQuery) {
   }
 
   srv.stop();
-}
-
-// scan_threads > 0 gives each worker a private morsel scheduler; the
-// served payloads must stay identical to a serial-scan server over the
-// same catalog (the engine's byte-identity guarantee, end to end), and
-// the parallel_scans / morsels_executed counters must account for the
-// scans.  Concurrent clients make this a TSan target for the
-// per-worker scheduler indexing.
-TEST_F(PortalTest, ParallelScanServerMatchesSerialServerAndCountsMorsels) {
-  serve::shared_catalog cat;
-  fill(cat, 2);
-  server serial_srv{cat};
-  server_config pcfg;
-  pcfg.workers = 2;
-  pcfg.scan_threads = 2;
-  pcfg.cache_entries = 0;  // every request hits the scan path
-  server par_srv{cat, pcfg};
-  serial_srv.start();
-  par_srv.start();
-
-  std::vector<request> reqs;
-  for (const auto dim :
-       {group_dim::ixp, group_dim::metro, group_dim::cls, group_dim::step}) {
-    request q;
-    q.op = op_code::group_by;
-    q.dim = dim;
-    reqs.push_back(q);
-  }
-  for (const double hi : {2.0, 10.0, 60.0}) {
-    request q;
-    q.op = op_code::rtt_band;
-    q.rtt_lo_ms = 0.0;
-    q.rtt_hi_ms = hi;
-    q.limit = 100;
-    reqs.push_back(q);
-  }
-  for (auto& q : reqs) q.epoch = "e0";
-
-  {
-    client serial_c{"127.0.0.1", serial_srv.port()};
-    client par_c{"127.0.0.1", par_srv.port()};
-    std::uint32_t id = 1;
-    for (auto q : reqs) {
-      q.id = id++;
-      const auto want = serial_c.call(q);
-      const auto got = par_c.call(q);
-      ASSERT_EQ(got.status, portal_errc::ok) << got.message;
-      ASSERT_EQ(want.status, portal_errc::ok);
-      EXPECT_EQ(got.total, want.total);
-      EXPECT_EQ(got.rows, want.rows);
-      EXPECT_EQ(got.groups, want.groups);
-    }
-  }
-
-  // Concurrent clients hammer the parallel server: worker threads and
-  // their private schedulers race under TSan.
-  constexpr int k_clients = 3;
-  std::vector<std::thread> clients;
-  clients.reserve(k_clients);
-  for (int t = 0; t < k_clients; ++t) {
-    clients.emplace_back([&, t] {
-      client c{"127.0.0.1", par_srv.port()};
-      for (int i = 0; i < 8; ++i) {
-        auto q = reqs[static_cast<std::size_t>(t + i) % reqs.size()];
-        q.id = static_cast<std::uint32_t>(1000 + t * 100 + i);
-        EXPECT_EQ(c.call(q).status, portal_errc::ok);
-      }
-    });
-  }
-  for (auto& th : clients) th.join();
-
-  // Counter surfaces: scans that executed morsels count on the
-  // parallel server (an rtt_band whose blocks all zone-skip runs zero
-  // morsels, so the exact total depends on pruning — bound it instead:
-  // unfiltered group_bys can never skip), none on the serial one.
-  const auto fetch = [](server& s) {
-    std::map<std::string, std::uint64_t> kv;
-    client c{"127.0.0.1", s.port()};
-    request q;
-    q.op = op_code::stats;
-    q.id = 9999;
-    const auto r = c.call(q);
-    EXPECT_EQ(r.status, portal_errc::ok);
-    for (const auto& g : r.groups) kv[g.key] = g.count;
-    return kv;
-  };
-  auto par_kv = fetch(par_srv);
-  auto ser_kv = fetch(serial_srv);
-  ASSERT_TRUE(par_kv.count("parallel_scans"));
-  ASSERT_TRUE(par_kv.count("morsels_executed"));
-  const auto total_scans =
-      static_cast<std::uint64_t>(reqs.size()) + k_clients * 8;
-  EXPECT_GE(par_kv["parallel_scans"], 4u);  // the four unfiltered group_bys
-  EXPECT_LE(par_kv["parallel_scans"], total_scans);
-  EXPECT_GE(par_kv["morsels_executed"], par_kv["parallel_scans"]);
-  EXPECT_EQ(ser_kv["parallel_scans"], 0u);
-  EXPECT_EQ(ser_kv["morsels_executed"], 0u);
-
-  par_srv.stop();
-  serial_srv.stop();
 }
 
 TEST_F(PortalTest, MalformedFramesGetTypedResponsesAndConnectionSurvives) {

@@ -20,7 +20,9 @@ process:
   6. SIGHUP with a corrupt file on disk keeps the previous snapshot
      serving (reload_failures counts it); SIGHUP after the file is
      restored publishes the fresh snapshot and clears degraded;
-  7. the final SIGINT drains cleanly (exit 0).
+  7. the final SIGINT drains cleanly (exit 0);
+  8. every non-numeric or out-of-range --port/--workers/--epochs/--seed
+     value exits 2 (usage) without ever printing the readiness line.
 
 Every phase has a hard deadline — a hang is a failure, not a wait.
 
@@ -134,6 +136,60 @@ def run(cmd, env=None, expect_rc=0):
             f"{' '.join(cmd)}: rc={r.returncode}, wanted {expect_rc}\n"
             f"stdout:\n{r.stdout}\nstderr:\n{r.stderr}")
     return r
+
+
+# Numeric flag values opwatd must refuse with exit code 2 before it
+# starts a thread.  Against a binary that reads them with atoi-style
+# parsing, the negative and huge --workers values would ask the OS for
+# that many threads, so run only the harmless cases there.
+BAD_NUMERIC_FLAGS = (
+    ("--workers", "abc"),
+    ("--workers", "0"),
+    ("--workers", "-1"),
+    ("--workers", "257"),
+    ("--workers", "99999999999999999999"),
+    ("--workers", "2x"),
+    ("--port", "70000"),
+    ("--port", "-1"),
+    ("--port", ""),
+    ("--epochs", "0"),
+    ("--epochs", "-1"),
+    ("--seed", "-5"),
+    ("--seed", "1.5"),
+)
+
+
+def expect_usage_exit(binary, flag, value, logpath):
+    """Runs opwatd with one bad numeric flag; it must exit 2 and never
+    print its readiness line.  A process that starts listening, or is
+    still running at the deadline, fails at once."""
+    with open(logpath, "w", encoding="utf-8") as fh:
+        proc = subprocess.Popen(
+            [binary, "--gen", "small", "--port", "0", flag, value],
+            stdout=fh, stderr=subprocess.STDOUT)
+        try:
+            deadline = time.monotonic() + DEADLINE_S
+            while proc.poll() is None and time.monotonic() < deadline:
+                with open(logpath, encoding="utf-8") as rd:
+                    if "listening" in rd.read():
+                        break
+                time.sleep(0.05)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+    with open(logpath, encoding="utf-8") as rd:
+        text = rd.read()
+    if "listening" in text or proc.returncode != 2:
+        raise ChaosError(
+            f"opwatd {flag} {value!r}: rc={proc.returncode}, wanted 2 "
+            f"without listening\n{text}")
+
+
+def check_bad_numeric_flags(binary, work, cases=BAD_NUMERIC_FLAGS):
+    for i, (flag, value) in enumerate(cases):
+        expect_usage_exit(binary, flag, value,
+                          os.path.join(work, f"badflag{i}.log"))
 
 
 def main():
@@ -256,6 +312,10 @@ def main():
         rc = srv.wait_exit()
         if rc != 0:
             raise ChaosError(f"final drain rc={rc}:\n{srv.read_log()}")
+
+        # --- 8. bad numeric flags are usage errors -----------------------
+        log("phase 8: bad numeric flag values exit 2 before listening")
+        check_bad_numeric_flags(opwatd, work)
 
         log("all phases OK")
         return 0

@@ -38,8 +38,6 @@ SERVER_COUNTER_KEYS = (
     "accept_errors",
     "cache_hits",
     "cache_misses",
-    "parallel_scans",
-    "morsels_executed",
     # Self-healing surface: the load lane runs against a healthy
     # snapshot, so beyond presence the degraded flag must be 0 here.
     "degraded",
