@@ -45,8 +45,11 @@ double latency_model::base_rtt_ms(const net_point& a, const net_point& b,
 
 double latency_model::sample_rtt_ms(const net_point& a, const net_point& b,
                                     util::rng& r, std::uint64_t path_tag) const noexcept {
-  double rtt = base_rtt_ms(a, b, path_tag);
-  rtt += r.exponential(0.12);
+  return sample_rtt_ms(base_rtt_ms(a, b, path_tag), r);
+}
+
+double latency_model::sample_rtt_ms(double base, util::rng& r) noexcept {
+  double rtt = base + r.exponential(0.12);
   if (r.bernoulli(0.01)) rtt += r.uniform(4.0, 60.0);  // transient congestion
   return rtt;
 }

@@ -42,6 +42,11 @@ class latency_model {
   [[nodiscard]] double sample_rtt_ms(const net_point& a, const net_point& b,
                                      util::rng& r, std::uint64_t path_tag = 0) const noexcept;
 
+  /// One sample over a precomputed `base_rtt_ms`: draws only the jitter,
+  /// exactly as the point overload does, so a series can compute its base
+  /// once.
+  [[nodiscard]] static double sample_rtt_ms(double base, util::rng& r) noexcept;
+
   /// Attachment point of a router in the world.
   [[nodiscard]] static net_point point_of_router(const world::world& w,
                                                  world::router_id rid);

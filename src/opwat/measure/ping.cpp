@@ -46,10 +46,11 @@ ping_campaign run_ping_campaign(const world::world& w, const latency_model& lat,
     const auto& x = w.ixps.at(vp.ixp);
     if (!x.facilities.empty()) {
       const auto rs_point = latency_model::point_of_facility(w, x.facilities.front());
+      const double rs_base = lat.base_rtt_ms(vp.point(), rs_point);
       double rs_min = std::numeric_limits<double>::infinity();
       for (int k = 0; k < 4; ++k)
         rs_min = std::min(rs_min,
-                          lat.sample_rtt_ms(vp.point(), rs_point, vr) + vp.mgmt_extra_ms);
+                          latency_model::sample_rtt_ms(rs_base, vr) + vp.mgmt_extra_ms);
       if (vp.in_peering_lan) rs_min = std::min(rs_min, 0.3);  // same L2 segment
       out.route_server_rtt_ms[vi] = vp.rounds_rtt_up ? std::ceil(rs_min) : rs_min;
     }
@@ -68,7 +69,8 @@ ping_campaign run_ping_campaign(const world::world& w, const latency_model& lat,
         continue;
       }
       const auto& m = w.memberships[*mid];
-      const auto router_point = latency_model::point_of_router(w, m.router);
+      const double base =
+          lat.base_rtt_ms(vp.point(), latency_model::point_of_router(w, m.router));
 
       auto tr = vr.fork(tgt.ip.value());
       // TTL-switch filter: inconsistent initial TTLs discard the series.
@@ -81,8 +83,7 @@ ping_campaign run_ping_campaign(const world::world& w, const latency_model& lat,
       for (int round = 0; round < cfg.rounds; ++round) {
         // TTL-match filter: off-subnet replies are dropped.
         if (cfg.apply_ttl_filters && tr.bernoulli(cfg.offsubnet_reply_rate)) continue;
-        const double rtt =
-            lat.sample_rtt_ms(vp.point(), router_point, tr) + vp.mgmt_extra_ms;
+        const double rtt = latency_model::sample_rtt_ms(base, tr) + vp.mgmt_extra_ms;
         best = std::min(best, rtt);
         ++kept;
       }

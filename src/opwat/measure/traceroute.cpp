@@ -1,6 +1,8 @@
 #include "opwat/measure/traceroute.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 namespace opwat::measure {
 
@@ -40,6 +42,21 @@ traceroute_engine::traceroute_engine(const world::world& w, const latency_model&
   for (const auto& as : w.ases)
     for (const auto& p : as.routed_prefixes) routed_lookup_.insert(p, as.id);
 
+  std::vector<std::uint32_t> point_id(w.facilities.size() + w.cities.size(),
+                                     world::k_invalid);
+  router_point_.reserve(w.routers.size());
+  for (const auto& rt : w.routers) {
+    auto& id = point_id.at(rt.facility ? *rt.facility : w.facilities.size() + rt.city);
+    if (id == world::k_invalid) {
+      id = static_cast<std::uint32_t>(points_.size());
+      points_.push_back(latency_model::point_of_router(w, rt.id));
+    }
+    router_point_.push_back(id);
+  }
+  if (points_.size() <= k_max_table_points)
+    rtt_table_.assign(points_.size() * points_.size(),
+                      std::numeric_limits<double>::quiet_NaN());
+
   bfs_.as_stamp.assign(w.ases.size(), 0);
   bfs_.ixp_stamp.assign(w.ixps.size(), 0);
   bfs_.parent_edge.resize(w.ases.size());
@@ -54,6 +71,13 @@ net::ipv4_addr traceroute_engine::egress_iface(world::router_id rid,
   if (rt.interfaces.empty()) return net::ipv4_addr{0};
   const auto idx = util::hash_combine(rid, tag) % rt.interfaces.size();
   return rt.interfaces[idx];
+}
+
+double traceroute_engine::hop_rtt_ms(std::uint32_t a, std::uint32_t b) const {
+  if (rtt_table_.empty()) return lat_.base_rtt_ms(points_[a], points_[b], 1);
+  double& rtt = rtt_table_[std::size_t{a} * points_.size() + b];
+  if (std::isnan(rtt)) rtt = lat_.base_rtt_ms(points_[a], points_[b], 1);
+  return rtt;
 }
 
 void traceroute_engine::expand_next() const {
@@ -146,10 +170,12 @@ std::optional<trace> traceroute_engine::run(world::as_id src, net::ipv4_addr dst
   };
 
   double cum_rtt = 0.3;  // departure through the source network
-  std::optional<net_point> prev_point;
+  std::optional<std::uint32_t> prev_point;
 
-  const auto emit = [&](net::ipv4_addr ip, const net_point& at) {
-    if (prev_point) cum_rtt += lat_.base_rtt_ms(*prev_point, at, 1);
+  // A hop answered by an interface of router `rid`.
+  const auto emit = [&](net::ipv4_addr ip, world::router_id rid) {
+    const auto at = router_point_[rid];
+    if (prev_point) cum_rtt += hop_rtt_ms(*prev_point, at);
     prev_point = at;
     hop h;
     h.rtt_ms = cum_rtt + r.exponential(0.15);
@@ -168,9 +194,8 @@ std::optional<trace> traceroute_engine::run(world::as_id src, net::ipv4_addr dst
     if (mems.empty() && privs.empty()) return std::nullopt;
     const auto rid = !mems.empty() ? w_.memberships[mems.front().id].router
                                    : w_.private_links[privs.front().link].router_a;
-    const auto p = latency_model::point_of_router(w_, rid);
-    emit(egress_iface(rid, 0), p);
-    emit(dst, p);
+    emit(egress_iface(rid, 0), rid);
+    emit(dst, rid);
     t.reached = true;
     return t;
   }
@@ -179,7 +204,7 @@ std::optional<trace> traceroute_engine::run(world::as_id src, net::ipv4_addr dst
   {
     const auto rid = egress_router(src, as_path->front());
     if (rid == world::k_invalid) return std::nullopt;
-    emit(egress_iface(rid, 0), latency_model::point_of_router(w_, rid));
+    emit(egress_iface(rid, 0), rid);
   }
 
   for (std::size_t i = 0; i < as_path->size(); ++i) {
@@ -191,19 +216,18 @@ std::optional<trace> traceroute_engine::run(world::as_id src, net::ipv4_addr dst
       const auto* m = membership_at(v, e.via_ixp);
       if (!m) return std::nullopt;
       ingress_router = m->router;
-      emit(m->interface_ip, latency_model::point_of_router(w_, m->router));
+      emit(m->interface_ip, m->router);
     } else {
       const auto& pl = w_.private_links[e.via_private];
       const bool v_is_a = pl.a == v;
       ingress_router = v_is_a ? pl.router_a : pl.router_b;
-      emit(v_is_a ? pl.ip_a : pl.ip_b,
-           latency_model::point_of_router(w_, ingress_router));
+      emit(v_is_a ? pl.ip_a : pl.ip_b, ingress_router);
     }
 
     const bool is_last = i + 1 == as_path->size();
     if (is_last) {
       // Destination address inside v.
-      emit(t.dst, latency_model::point_of_router(w_, ingress_router));
+      emit(t.dst, ingress_router);
       t.reached = true;
     } else {
       // Internal hop: the egress interface toward the next edge.  Emitted
@@ -222,7 +246,7 @@ std::optional<trace> traceroute_engine::run(world::as_id src, net::ipv4_addr dst
           if (other != world::k_invalid) ip = w_.routers[other].interfaces.front();
         }
       }
-      emit(ip, latency_model::point_of_router(w_, rid));
+      emit(ip, rid);
     }
   }
   return t;

@@ -44,8 +44,9 @@ struct traceroute_config {
 };
 
 /// Not thread-safe: `run()`, `campaign()` and `find_path()` are `const`
-/// but advance the engine's cached path search, so one engine must not be
-/// shared across threads.  Give each thread its own engine.
+/// but advance the engine's cached path search and fill its cached
+/// point-pair RTT table, so one engine must not be shared across threads.
+/// Give each thread its own engine.
 class traceroute_engine {
  public:
   traceroute_engine(const world::world& w, const latency_model& lat,
@@ -131,6 +132,8 @@ class traceroute_engine {
                                                                   world::as_id dst) const;
   void expand_next() const;
   [[nodiscard]] net::ipv4_addr egress_iface(world::router_id rid, std::uint64_t tag) const;
+  /// `base_rtt_ms(points_[a], points_[b], 1)`, computed once per pair.
+  [[nodiscard]] double hop_rtt_ms(std::uint32_t a, std::uint32_t b) const;
 
   const world::world& w_;
   const latency_model& lat_;
@@ -147,6 +150,16 @@ class traceroute_engine {
   std::vector<world::as_id> connected_;
   net::lpm_table<world::as_id> routed_lookup_;
   mutable bfs_state bfs_;
+  // A router's latency depends only on where it is attached: its facility
+  // or, without one, its city.  Each distinct attachment point a router
+  // uses gets a dense id (in router order); `rtt_table_` holds the base
+  // RTT of every ordered point pair, NaN until first needed.  Past
+  // `k_max_table_points` the table would be too large and hop RTTs are
+  // computed directly instead.
+  static constexpr std::size_t k_max_table_points = 2048;
+  std::vector<net_point> points_;
+  std::vector<std::uint32_t> router_point_;
+  mutable std::vector<double> rtt_table_;
 };
 
 }  // namespace opwat::measure

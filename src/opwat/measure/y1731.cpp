@@ -16,10 +16,11 @@ std::vector<facility_pair_delay> facility_delay_matrix(const world::world& w,
     for (std::size_t j = i + 1; j < facs.size(); ++j) {
       const auto pa = latency_model::point_of_facility(w, facs[i]);
       const auto pb = latency_model::point_of_facility(w, facs[j]);
+      const double base = lat.base_rtt_ms(pa, pb);
       std::vector<double> samples;
       samples.reserve(static_cast<std::size_t>(samples_per_pair));
       for (int s = 0; s < samples_per_pair; ++s)
-        samples.push_back(lat.sample_rtt_ms(pa, pb, rng));
+        samples.push_back(latency_model::sample_rtt_ms(base, rng));
       facility_pair_delay d;
       d.a = facs[i];
       d.b = facs[j];

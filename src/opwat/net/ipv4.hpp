@@ -6,13 +6,16 @@
 // same way the paper's pipeline sees raw IPs from traceroute/ping.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace opwat::net {
 
@@ -65,45 +68,61 @@ class prefix {
 };
 
 /// Longest-prefix-match table mapping prefixes to values of type T.
-/// Insertions with an equal prefix overwrite.  Lookup walks from /32
-/// down to /0 over per-length exact-match maps.
+/// Insertions with an equal prefix overwrite.  Each prefix length keeps
+/// its network addresses in a sorted flat vector, and a bitmask records
+/// which lengths hold any prefix, so a lookup binary-searches only the
+/// occupied lengths, longest first.
 template <typename T>
 class lpm_table {
  public:
   void insert(const prefix& p, T value) {
-    tables_[p.length()][p.network().value()] = std::move(value);
-    if (p.length() < min_len_) min_len_ = p.length();
-    if (p.length() > max_len_) max_len_ = p.length();
+    const auto len = static_cast<std::size_t>(p.length());
+    auto& keys = keys_[len];
+    const auto key = p.network().value();
+    const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+    const auto at = it - keys.begin();
+    if (it != keys.end() && *it == key) {
+      values_[len][static_cast<std::size_t>(at)] = std::move(value);
+      return;
+    }
+    keys.insert(it, key);
+    values_[len].insert(values_[len].begin() + at, std::move(value));
+    lengths_ |= std::uint64_t{1} << len;
     ++count_;
   }
 
   [[nodiscard]] std::optional<T> lookup(ipv4_addr a) const {
-    for (int len = max_len_; len >= min_len_; --len) {
-      const auto& t = tables_[len];
-      if (t.empty()) continue;
+    for (auto m = lengths_; m != 0;) {
+      const int len = std::bit_width(m) - 1;
+      m &= ~(std::uint64_t{1} << len);
       const std::uint32_t key =
           len == 0 ? 0u : (a.value() & (~std::uint32_t{0} << (32 - len)));
-      const auto it = t.find(key);
-      if (it != t.end()) return it->second;
+      if (const auto* v = find(len, key)) return *v;
     }
     return std::nullopt;
   }
 
   /// Exact-prefix lookup.
   [[nodiscard]] std::optional<T> exact(const prefix& p) const {
-    const auto& t = tables_[p.length()];
-    const auto it = t.find(p.network().value());
-    if (it != t.end()) return it->second;
+    if (const auto* v = find(p.length(), p.network().value())) return *v;
     return std::nullopt;
   }
 
+  /// Number of distinct prefixes held.
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
 
  private:
-  std::map<std::uint32_t, T> tables_[33];
-  int min_len_ = 32;
-  int max_len_ = 0;
+  [[nodiscard]] const T* find(int len, std::uint32_t key) const {
+    const auto l = static_cast<std::size_t>(len);
+    const auto it = std::lower_bound(keys_[l].begin(), keys_[l].end(), key);
+    if (it == keys_[l].end() || *it != key) return nullptr;
+    return &values_[l][static_cast<std::size_t>(it - keys_[l].begin())];
+  }
+
+  std::array<std::vector<std::uint32_t>, 33> keys_;  // sorted, per length
+  std::array<std::vector<T>, 33> values_;            // parallel to keys_
+  std::uint64_t lengths_ = 0;                        // bit L: keys_[L] non-empty
   std::size_t count_ = 0;
 };
 

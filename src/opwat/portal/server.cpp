@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "opwat/serve/query.hpp"
@@ -146,7 +147,10 @@ server::server(serve::shared_catalog& cat, server_config cfg)
       cache_(cfg_.cache_entries > 0
                  ? std::make_unique<result_cache>(cfg_.cache_entries)
                  : nullptr) {
-  OPWAT_ASSERT(cfg_.workers > 0, "portal server needs at least one worker");
+  // Checked in every build: with no worker the server would listen and
+  // admit requests it never answers.
+  if (cfg_.workers == 0)
+    throw std::invalid_argument{"portal server needs at least one worker"};
 }
 
 server::~server() { stop(); }

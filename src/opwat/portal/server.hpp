@@ -80,6 +80,8 @@ struct server_config {
   std::string bind_addr = "127.0.0.1";
   /// 0 = ephemeral; read the bound port back with port().
   std::uint16_t port = 0;
+  /// Query worker threads; 0 makes the constructor throw
+  /// std::invalid_argument.
   std::size_t workers = 2;
   std::size_t max_connections = 1024;
   /// Bounded job queue between acceptor and workers; a full queue sheds

@@ -7,13 +7,27 @@ namespace opwat::traix {
 
 namespace {
 
-/// AS attribution of a hop: IXP interfaces resolve through the merged
-/// view's interface table, everything else through prefix2as.
-std::optional<net::asn> as_of(net::ipv4_addr ip, const db::merged_view& view,
-                              const db::ip2as& prefix2as) {
-  if (const auto a = view.member_of_interface(ip)) return a;
-  if (view.ixp_of_address(ip)) return std::nullopt;  // unmapped LAN address
-  return prefix2as.lookup(ip);
+/// What one hop's address resolves to, looked up once per hop.
+struct hop_attr {
+  std::optional<world::ixp_id> ixp;  // the peering LAN holding the address
+  /// AS attribution: IXP interfaces resolve through the merged view's
+  /// interface table, everything else through prefix2as.
+  std::optional<net::asn> as;
+  std::optional<net::asn> routed;  // prefix2as; looked up off peering LANs only
+};
+
+void attribute(std::span<const measure::hop> hops, const db::merged_view& view,
+               const db::ip2as& prefix2as, std::vector<hop_attr>& out) {
+  out.assign(hops.size(), hop_attr{});
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    if (hops[i].star) continue;
+    auto& a = out[i];
+    a.ixp = view.ixp_of_address(hops[i].ip);
+    a.as = view.member_of_interface(hops[i].ip);
+    if (a.ixp) continue;  // an unmapped LAN address has no AS
+    a.routed = prefix2as.lookup(hops[i].ip);
+    if (!a.as) a.as = a.routed;
+  }
 }
 
 }  // namespace
@@ -54,24 +68,26 @@ extraction extract(std::span<const measure::trace> traces, const db::merged_view
   }
 
   extraction out;
+  std::vector<hop_attr> attrs;
   for (const auto& t : traces) {
     const auto& hops = t.hops;
+    attribute(hops, view, prefix2as, attrs);
     for (std::size_t i = 0; i < hops.size(); ++i) {
       if (hops[i].star) continue;
-      const auto ixp = view.ixp_of_address(hops[i].ip);
+      const auto ixp = attrs[i].ixp;
 
       // --- Step-4 adjacency: previous hop owned by a member of this IXP.
-      if (ixp && i >= 1 && !hops[i - 1].star && !view.ixp_of_address(hops[i - 1].ip)) {
-        const auto prev_as = as_of(hops[i - 1].ip, view, prefix2as);
+      if (ixp && i >= 1 && !hops[i - 1].star && !attrs[i - 1].ixp) {
+        const auto prev_as = attrs[i - 1].as;
         if (prev_as && view.is_member(*ixp, *prev_as))
           out.adjacencies.push_back({hops[i - 1].ip, *prev_as, *ixp});
       }
 
       // --- Full triplet rule.
       if (ixp && i >= 1 && i + 1 < hops.size() && !hops[i - 1].star && !hops[i + 1].star) {
-        const auto as2 = view.member_of_interface(hops[i].ip);
-        const auto as1 = as_of(hops[i - 1].ip, view, prefix2as);
-        const auto as3 = as_of(hops[i + 1].ip, view, prefix2as);
+        const auto as2 = attrs[i].as;
+        const auto as1 = attrs[i - 1].as;
+        const auto as3 = attrs[i + 1].as;
         if (as1 && as2 && as3 && *as2 == *as3 && *as1 != *as2 &&
             view.is_member(*ixp, *as1) && view.is_member(*ixp, *as2)) {
           ixp_crossing c;
@@ -88,9 +104,9 @@ extraction extract(std::span<const measure::trace> traces, const db::merged_view
 
       // --- Step-5 private adjacency: consecutive non-IXP hops in
       // different ASes.
-      if (i >= 1 && !hops[i - 1].star && !ixp && !view.ixp_of_address(hops[i - 1].ip)) {
-        const auto as_a = prefix2as.lookup(hops[i - 1].ip);
-        const auto as_b = prefix2as.lookup(hops[i].ip);
+      if (i >= 1 && !hops[i - 1].star && !ixp && !attrs[i - 1].ixp) {
+        const auto as_a = attrs[i - 1].routed;
+        const auto as_b = attrs[i].routed;
         if (as_a && as_b && *as_a != *as_b)
           out.private_links.push_back({hops[i - 1].ip, hops[i].ip, *as_a, *as_b});
       }

@@ -106,6 +106,8 @@ TEST(Lpm, OverwriteSamePrefix) {
   t.insert(prefix{ipv4_addr{10, 0, 0, 0}, 8}, 1);
   t.insert(prefix{ipv4_addr{10, 0, 0, 0}, 8}, 2);
   EXPECT_EQ(t.lookup(ipv4_addr(10, 0, 0, 1)), 2);
+  EXPECT_EQ(t.exact(prefix{ipv4_addr{10, 0, 0, 0}, 8}), 2);
+  EXPECT_EQ(t.size(), 1u);
 }
 
 TEST(Lpm, DefaultRoute) {

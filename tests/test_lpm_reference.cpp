@@ -2,7 +2,10 @@
 // linear scan, and the merge layer against an order-independent oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "opwat/net/ipv4.hpp"
@@ -35,6 +38,14 @@ class linear_lpm {
     }
     return best;
   }
+  [[nodiscard]] std::optional<int> exact(const prefix& p) const {
+    for (const auto& [q, v] : entries_)
+      if (q == p) return v;
+    return std::nullopt;
+  }
+  [[nodiscard]] const std::vector<std::pair<prefix, int>>& entries() const {
+    return entries_;
+  }
 
  private:
   std::vector<std::pair<prefix, int>> entries_;
@@ -46,26 +57,76 @@ TEST_P(LpmFuzz, MatchesLinearReference) {
   rng r{GetParam()};
   lpm_table<int> fast;
   linear_lpm slow;
-  // Random prefix set, biased toward nested structures.
+  const auto insert = [&](const prefix& p, int v) {
+    fast.insert(p, v);
+    slow.insert(p, v);
+  };
+  // Random prefix set, biased toward nested structures, plus host routes
+  // and, for half the seeds, a default route.
+  std::vector<prefix> inserted;
   for (int i = 0; i < 300; ++i) {
     const auto base = static_cast<std::uint32_t>(r.next());
     const auto len = static_cast<int>(r.uniform_int(4, 30));
     const prefix p{ipv4_addr{base}, len};
-    fast.insert(p, i);
-    slow.insert(p, i);
+    insert(p, i);
+    inserted.push_back(p);
     // Insert a sub-prefix of an existing one half the time.
     if (r.bernoulli(0.5)) {
       const auto sublen = std::min(32, len + static_cast<int>(r.uniform_int(1, 6)));
       const prefix sub{ipv4_addr{base | static_cast<std::uint32_t>(r.next() & 0xffff)},
                        sublen};
-      fast.insert(sub, 1000 + i);
-      slow.insert(sub, 1000 + i);
+      insert(sub, 1000 + i);
+      inserted.push_back(sub);
+    }
+    if (r.bernoulli(0.1)) {
+      const auto low = static_cast<std::uint32_t>(r.next() & 0xff);
+      const prefix host{ipv4_addr{base ^ low}, 32};
+      insert(host, 2000 + i);
+      inserted.push_back(host);
     }
   }
-  // Probe random addresses plus boundary addresses of inserted prefixes.
+  if (GetParam() % 2 == 1) {
+    insert(prefix{ipv4_addr{}, 0}, 5000);
+    inserted.push_back(prefix{ipv4_addr{}, 0});
+  }
+  // Re-insert some existing prefixes with new values: the last write wins.
+  for (int i = 0; i < 60; ++i) {
+    const auto& p = inserted[static_cast<std::size_t>(
+        r.uniform_int(0, static_cast<std::int64_t>(inserted.size()) - 1))];
+    insert(p, 3000 + i);
+  }
+  EXPECT_EQ(fast.size(), slow.entries().size());
+
+  // Probe random addresses, then every inserted prefix's network and
+  // broadcast addresses and the addresses just outside them.
   for (int i = 0; i < 3000; ++i) {
     const ipv4_addr probe{static_cast<std::uint32_t>(r.next())};
     EXPECT_EQ(fast.lookup(probe), slow.lookup(probe)) << probe.to_string();
+  }
+  for (const auto& [p, v] : slow.entries()) {
+    const auto first = p.network().value();
+    const auto last = p.at(p.size() - 1).value();
+    for (const std::uint32_t a : {first, last, first - 1, last + 1}) {
+      const ipv4_addr probe{a};
+      EXPECT_EQ(fast.lookup(probe), slow.lookup(probe))
+          << probe.to_string() << " near " << p.to_string();
+    }
+  }
+
+  // Exact lookups: every inserted prefix, its parent and child lengths
+  // (mostly absent), and random prefixes.
+  for (const auto& [p, v] : slow.entries()) {
+    EXPECT_EQ(fast.exact(p), v) << p.to_string();
+    for (const int len : {p.length() - 1, p.length() + 1}) {
+      if (len < 0 || len > 32) continue;
+      const prefix q{p.network(), len};
+      EXPECT_EQ(fast.exact(q), slow.exact(q)) << q.to_string();
+    }
+  }
+  for (int i = 0; i < 500; ++i) {
+    const prefix q{ipv4_addr{static_cast<std::uint32_t>(r.next())},
+                   static_cast<int>(r.uniform_int(0, 32))};
+    EXPECT_EQ(fast.exact(q), slow.exact(q)) << q.to_string();
   }
 }
 

@@ -1,6 +1,7 @@
 // Latency model, vantage points, ping campaign and Y.1731 matrices.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "opwat/geo/speed_model.hpp"
@@ -59,6 +60,42 @@ TEST(LatencyModel, SamplesNeverBelowBase) {
   const double base = lat.base_rtt_ms(a, b);
   util::rng r{9};
   for (int i = 0; i < 200; ++i) EXPECT_GE(lat.sample_rtt_ms(a, b, r), base);
+}
+
+// The split sampler draws exactly what the point overload draws: the same
+// value from the same stream, leaving the stream in the same state, over
+// enough samples that the rare congestion spike is taken too.
+void expect_split_sampler_matches(const net_point& a, const net_point& b) {
+  const latency_model lat{55};
+  for (const std::uint64_t tag : {0u, 1u, 7u}) {
+    const double base = lat.base_rtt_ms(a, b, tag);
+    util::rng split{tag + 100};
+    util::rng whole{tag + 100};
+    bool spiked = false;
+    for (int i = 0; i < 2000; ++i) {
+      const double s = latency_model::sample_rtt_ms(base, split);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s),
+                std::bit_cast<std::uint64_t>(lat.sample_rtt_ms(a, b, whole, tag)))
+          << "tag " << tag << " sample " << i;
+      spiked = spiked || s > base + 4.0;
+    }
+    EXPECT_TRUE(spiked) << "no congestion spike drawn";
+    EXPECT_EQ(split.next(), whole.next());
+  }
+}
+
+TEST(LatencyModel, SplitSamplerMatchesSameFacility) {
+  expect_split_sampler_matches({{50.0, 8.0}, 3u}, {{50.0, 8.0}, 3u});
+}
+
+TEST(LatencyModel, SplitSamplerMatchesSubKilometre) {
+  const geo::geo_point here{50.0, 8.0};
+  expect_split_sampler_matches({here, 3u}, {geo::offset_km(here, 45, 0.4), 4u});
+}
+
+TEST(LatencyModel, SplitSamplerMatchesLongHaul) {
+  expect_split_sampler_matches({{50.0, 8.0}, std::nullopt},
+                               {{40.7, -74.0}, std::nullopt});
 }
 
 TEST(Vantage, GeneratedPopulationLooksRight) {
@@ -195,6 +232,35 @@ TEST_F(PingTest, UnknownTargetUnresponsive) {
   const auto c = run_ping_campaign(*w_, *lat_, *vps_, targets, ping_config{},
                                    util::rng{1});
   for (const auto& pm : c.measurements) EXPECT_FALSE(pm.responsive);
+}
+
+// The paper-scale ping campaign is pinned: a digest over every
+// measurement's minimum RTT bits, kept samples and responsiveness, and
+// every VP's route-server RTT, so any change to a base RTT or a random
+// draw shows.
+TEST(PingCorpus, PaperScaleCampaignDigestIsPinned) {
+  const auto w = world::generate(world::gen_config{});
+  const latency_model lat{31};
+  const auto vps = make_vantage_points(w, vp_config{}, util::rng{23});
+  std::vector<ping_target> targets;
+  for (const auto& m : w.memberships) targets.push_back({m.interface_ip, m.ixp});
+  const auto c = run_ping_campaign(w, lat, vps, targets, ping_config{}, util::rng{61});
+
+  std::uint64_t h = 0;
+  std::size_t responsive = 0;
+  for (const auto& pm : c.measurements) {
+    h = util::hash_combine(h, pm.vp_index);
+    h = util::hash_combine(h, pm.target.value());
+    h = util::hash_combine(h, std::bit_cast<std::uint64_t>(pm.rtt_min_ms));
+    h = util::hash_combine(h, static_cast<std::uint64_t>(pm.samples_kept));
+    h = util::hash_combine(h, pm.responsive);
+    if (pm.responsive) ++responsive;
+  }
+  for (const double rs : c.route_server_rtt_ms)
+    h = util::hash_combine(h, std::bit_cast<std::uint64_t>(rs));
+  EXPECT_EQ(c.measurements.size(), 6539u);
+  EXPECT_EQ(responsive, 5408u);
+  EXPECT_EQ(h, 0x0ce138d31bca5e5dULL);
 }
 
 TEST(Y1731, MatrixCoversAllPairs) {

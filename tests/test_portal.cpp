@@ -13,6 +13,8 @@
 //     `overloaded` responses immediately — never a hang;
 //   - graceful shutdown: stop() drains every admitted request, and a
 //     start/serve/stop cycle leaks no file descriptors;
+//   - configuration: a server with zero workers is refused at
+//     construction in every build type;
 //   - concurrent clients racing an epoch-publishing writer (the TSan CI
 //     lane runs this suite): every response is a consistent snapshot;
 //   - workload determinism: same seed ⇒ byte-identical request stream;
@@ -34,6 +36,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -674,6 +677,14 @@ TEST_F(PortalTest, StopDrainsAdmittedRequests) {
   }
   EXPECT_THROW((void)c.receive(5000), net::socket_error);  // then EOF
   EXPECT_EQ(srv.stats().responses_ok, 3u);
+}
+
+TEST_F(PortalTest, ZeroWorkersIsRejectedInEveryBuild) {
+  serve::shared_catalog cat;
+  fill(cat, 1);
+  server_config cfg;
+  cfg.workers = 0;
+  EXPECT_THROW((server{cat, cfg}), std::invalid_argument);
 }
 
 TEST_F(PortalTest, StartStopLoopLeaksNoFds) {

@@ -1,10 +1,14 @@
 // traIXroute triplet rule and Step-4/5 extraction on hand-built paths.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "opwat/db/ip2as.hpp"
 #include "opwat/db/merge.hpp"
 #include "opwat/db/snapshot.hpp"
+#include "opwat/measure/traceroute.hpp"
 #include "opwat/traix/crossing.hpp"
+#include "opwat/util/thread_pool.hpp"
 #include "opwat/world/generator.hpp"
 
 namespace {
@@ -171,6 +175,56 @@ TEST_F(TraixTest, EmptyCorpusYieldsNothing) {
   EXPECT_TRUE(ex.crossings.empty());
   EXPECT_TRUE(ex.adjacencies.empty());
   EXPECT_TRUE(ex.private_links.empty());
+}
+
+// The paper-scale extraction is pinned: a digest over every crossing,
+// adjacency and private link, in order, of the study's traceroute corpus
+// (the scenario's default seeds), serial and on a pool.
+TEST(TraixCorpus, PaperScaleExtractionDigestIsPinned) {
+  const auto w = world::generate(world::gen_config{});
+  const auto view = db::merged_view::build(db::make_standard_snapshots(w, 11));
+  const auto p2a = db::ip2as::build(w);
+  const measure::latency_model lat{31};
+  const measure::traceroute_engine engine{w, lat};
+  util::rng r{47};
+  auto sources = engine.connected_ases();
+  r.shuffle(sources);
+  if (sources.size() > 4000) sources.resize(4000);
+  const auto traces = engine.campaign(sources, 30, r);
+
+  const auto digest = [](const extraction& ex) {
+    std::uint64_t h = 0;
+    for (const auto& c : ex.crossings) {
+      h = util::hash_combine(h, c.ixp);
+      h = util::hash_combine(h, c.near_as.value);
+      h = util::hash_combine(h, c.far_as.value);
+      h = util::hash_combine(h, c.near_ip.value());
+      h = util::hash_combine(h, c.ixp_ip.value());
+      h = util::hash_combine(h, std::bit_cast<std::uint64_t>(c.rtt_to_ixp_ip_ms));
+      h = util::hash_combine(h, std::bit_cast<std::uint64_t>(c.rtt_to_near_ip_ms));
+    }
+    for (const auto& a : ex.adjacencies) {
+      h = util::hash_combine(h, a.member_ip.value());
+      h = util::hash_combine(h, a.member_as.value);
+      h = util::hash_combine(h, a.ixp);
+    }
+    for (const auto& p : ex.private_links) {
+      h = util::hash_combine(h, p.ip_a.value());
+      h = util::hash_combine(h, p.ip_b.value());
+      h = util::hash_combine(h, p.as_a.value);
+      h = util::hash_combine(h, p.as_b.value);
+    }
+    return h;
+  };
+
+  const auto ex = extract(traces, view, p2a);
+  EXPECT_EQ(ex.crossings.size(), 108043u);
+  EXPECT_EQ(ex.adjacencies.size(), 113088u);
+  EXPECT_EQ(ex.private_links.size(), 19297u);
+  EXPECT_EQ(digest(ex), 0xfa91e0df26516174ULL);
+
+  util::thread_pool pool{2};
+  EXPECT_EQ(digest(extract(traces, view, p2a, &pool)), digest(ex));
 }
 
 }  // namespace
