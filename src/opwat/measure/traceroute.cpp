@@ -53,9 +53,8 @@ traceroute_engine::traceroute_engine(const world::world& w, const latency_model&
     }
     router_point_.push_back(id);
   }
-  if (points_.size() <= k_max_table_points)
-    rtt_table_.assign(points_.size() * points_.size(),
-                      std::numeric_limits<double>::quiet_NaN());
+  rtt_table_.assign(points_.size() * points_.size(),
+                    std::numeric_limits<double>::quiet_NaN());
 
   bfs_.as_stamp.assign(w.ases.size(), 0);
   bfs_.ixp_stamp.assign(w.ixps.size(), 0);
@@ -74,7 +73,6 @@ net::ipv4_addr traceroute_engine::egress_iface(world::router_id rid,
 }
 
 double traceroute_engine::hop_rtt_ms(std::uint32_t a, std::uint32_t b) const {
-  if (rtt_table_.empty()) return lat_.base_rtt_ms(points_[a], points_[b], 1);
   double& rtt = rtt_table_[std::size_t{a} * points_.size() + b];
   if (std::isnan(rtt)) rtt = lat_.base_rtt_ms(points_[a], points_[b], 1);
   return rtt;
